@@ -1,7 +1,7 @@
 (* Ablations over the design choices DESIGN.md calls out:
    - the candidate-evaluation cap in the greedy searches;
    - ESE's affected-subspace evaluation vs full re-evaluation;
-   - top-k evaluator choices (scan / TA / dominance / onion / views);
+   - top-k evaluator choices (scan / TA / dominance / onion);
    - Section 4.3 incremental maintenance vs index rebuild.
 
    Everything runs through [Iq.Engine]; the evaluation-substrate
@@ -146,11 +146,6 @@ let topk_evaluators () =
   let ta = Topk.Ta.build data in
   let dominance = Topk.Dominance.build data in
   let onion = Topk.Onion.build data in
-  let views =
-    Topk.View.build
-      ~views:[ [| 0.2; 0.4; 0.4 |]; [| 0.6; 0.2; 0.2 |]; [| 0.33; 0.33; 0.34 |] ]
-      data
-  in
   let queries =
     List.init 50 (fun _ -> Array.init d (fun _ -> Workload.Rng.uniform rng))
   in
@@ -161,7 +156,6 @@ let topk_evaluators () =
       ("TA", fun w -> Topk.Ta.top_k ta ~weights:w ~k);
       ("dominance", fun w -> Topk.Dominance.top_k dominance ~data ~weights:w ~k);
       ("onion", fun w -> Topk.Onion.top_k onion ~data ~weights:w ~k);
-      ("views", fun w -> Topk.View.top_k views ~weights:w ~k);
     ]
   in
   Harness.row [ "  evaluator"; "  us/query" ];
@@ -182,7 +176,7 @@ let topk_evaluators () =
           Printf.sprintf "%10.1f" (1e6 *. t /. 50.);
         ])
     evaluators;
-  Harness.note "all five agree on results; costs differ by orders of magnitude"
+  Harness.note "all four agree on results; costs differ by orders of magnitude"
 
 (* --- Section 4.3 maintenance vs rebuild ------------------------------ *)
 

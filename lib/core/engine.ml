@@ -18,6 +18,7 @@ module Error = struct
     | Unknown_target of { id : int; n_objects : int }
     | Unknown_query of { q : int; n_queries : int }
     | Depth_exceeded of { k : int; depth : int }
+    | Non_finite of { what : string; coordinate : int }
     | Budget_exhausted of float
     | Infeasible
     | Stale_state of { held : int; current : int }
@@ -48,6 +49,8 @@ module Error = struct
         Printf.sprintf
           "query k=%d exceeds index depth %d (rebuild with depth_slack)" k
           depth
+    | Non_finite { what; coordinate } ->
+        Printf.sprintf "non-finite %s at coordinate %d" what coordinate
     | Budget_exhausted beta -> Printf.sprintf "budget %g is negative" beta
     | Infeasible -> "goal unreachable: no feasible strategy"
     | Stale_state { held; current } ->
@@ -409,6 +412,26 @@ let check_query_in snap q =
 let check_dim ~expected ~got =
   if expected <> got then Error (Error.Dim_mismatch { expected; got })
   else Ok ()
+
+let check_finite what v =
+  let rec scan i =
+    if i >= Array.length v then Ok ()
+    else if Float.is_finite v.(i) then scan (i + 1)
+    else Error (Error.Non_finite { what; coordinate = i })
+  in
+  scan 0
+
+(* An object's raw attributes and their feature image: a NaN in
+   either would break the ranking order the index maintains. *)
+let check_object snap raw =
+  let* () =
+    check_dim
+      ~expected:(Instance.dim_raw (Snapshot.instance snap))
+      ~got:(Vec.dim raw)
+  in
+  let* () = check_finite "object attribute" raw in
+  let utility = (Snapshot.instance snap).Instance.utility in
+  check_finite "object feature" (utility.Topk.Utility.features raw)
 
 (* {2 Evaluator cache and failover} *)
 
@@ -870,6 +893,7 @@ let add_query t q =
           ~expected:(Instance.dim (Snapshot.instance snap))
           ~got:(Vec.dim q.Topk.Query.weights)
       in
+      let* () = check_finite "query weight" q.Topk.Query.weights in
       let depth = Query_index.depth (Snapshot.index snap) in
       if q.Topk.Query.k + 1 > depth then
         Error (Error.Depth_exceeded { k = q.Topk.Query.k; depth })
@@ -885,10 +909,7 @@ let remove_query t q =
 let add_object t raw =
   guard @@ fun () ->
   mutate t ~m:(M_add_object raw)
-    (fun snap ->
-      check_dim
-        ~expected:(Instance.dim_raw (Snapshot.instance snap))
-        ~got:(Vec.dim raw))
+    (fun snap -> check_object snap raw)
     (fun idx -> Query_index.with_object_added idx raw)
 
 let update_object t id raw =
@@ -896,9 +917,7 @@ let update_object t id raw =
   mutate t ~m:(M_update_object { id; raw })
     (fun snap ->
       let* () = check_target_in snap id in
-      check_dim
-        ~expected:(Instance.dim_raw (Snapshot.instance snap))
-        ~got:(Vec.dim raw))
+      check_object snap raw)
     (fun idx -> (Query_index.with_object_updated idx id raw, ()))
 
 let remove_object t id =

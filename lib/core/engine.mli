@@ -80,6 +80,10 @@ module Error : sig
     | Depth_exceeded of { k : int; depth : int }
         (** an added query's [k] needs a deeper prefix than the index
             keeps — rebuild with [depth_slack] *)
+    | Non_finite of { what : string; coordinate : int }
+        (** a mutation carried a NaN or infinite [what] (object
+            attribute, object feature or query weight) at
+            [coordinate]; it is rejected before it is journaled *)
     | Budget_exhausted of float  (** negative Max-Hit budget *)
     | Infeasible  (** Min-Cost: [tau] hits unreachable *)
     | Stale_state of { held : int; current : int }
@@ -201,10 +205,10 @@ val of_index :
   ?pool:Parallel.pool ->
   Query_index.t ->
   (t, Error.t) result
-(** Adopt an already-built index (e.g. one loaded with
-    {!Query_index.load}). The engine becomes its owner: mutating the
-    index behind the engine's back voids the snapshot guarantee —
-    mutate only through the engine, whose updates are copy-on-write. *)
+(** Adopt an already-built index (e.g. a sibling engine's, to serve it
+    through another backend). Indexes are immutable values, so sharing
+    one is safe: each engine's mutations build successors through
+    [Query_index.with_*] and leave the adopted index untouched. *)
 
 val create_exn :
   ?backend:backend ->
@@ -438,7 +442,9 @@ val max_hit_multi :
     generation they hold; nothing they can reach is modified. *)
 
 val add_query : t -> Topk.Query.t -> (int, Error.t) result
-(** Returns the new query's index. *)
+(** Returns the new query's index. Like {!add_object} and
+    {!update_object}, returns [Error (Non_finite _)] for a NaN or
+    infinite input before anything is journaled. *)
 
 val remove_query : t -> int -> (unit, Error.t) result
 (** Later query indices shift down by one (in the new generation). *)

@@ -12,6 +12,20 @@ type t = {
 
 let qweights queries = Array.map (fun q -> q.Topk.Query.weights) queries
 
+(* Every prefix and threshold is a ranking by score, and a NaN score
+   has no place in that order (an infinity yields one as soon as it
+   meets a zero weight or its opposite), so no such input gets in. *)
+let check_finite fn what v =
+  if not (Array.for_all Float.is_finite v) then
+    invalid_arg (Printf.sprintf "Instance.%s: non-finite %s" fn what)
+
+(* The feature image of one object's raw attributes, both checked. *)
+let object_features fn utility raw =
+  check_finite fn "object attribute" raw;
+  let feat = utility.Topk.Utility.features raw in
+  check_finite fn "object feature" feat;
+  feat
+
 let create ?utility ?(order = Topk.Utility.Asc) ~data ~queries () =
   if Array.length data = 0 then invalid_arg "Instance.create: empty data";
   let d_raw = Vec.dim data.(0) in
@@ -25,13 +39,14 @@ let create ?utility ?(order = Topk.Utility.Asc) ~data ~queries () =
       if Vec.dim p <> d_raw then
         invalid_arg "Instance.create: ragged object attributes")
     data;
-  let features = Array.map utility.Topk.Utility.features data in
+  let features = Array.map (object_features "create" utility) data in
   let queries =
     Array.of_list
       (List.map
          (fun (q : Topk.Query.t) ->
            if Vec.dim q.Topk.Query.weights <> utility.Topk.Utility.dim_out
            then invalid_arg "Instance.create: query weight arity mismatch";
+           check_finite "create" "query weight" q.Topk.Query.weights;
            {
              q with
              Topk.Query.weights =
@@ -80,6 +95,7 @@ let query_points t = Array.map (fun q -> q.Topk.Query.weights) t.queries
 let add_query t (q : Topk.Query.t) =
   if Vec.dim q.Topk.Query.weights <> t.utility.Topk.Utility.dim_out then
     invalid_arg "Instance.add_query: weight arity mismatch";
+  check_finite "add_query" "query weight" q.Topk.Query.weights;
   let q =
     {
       q with
@@ -104,7 +120,7 @@ let remove_query t i =
 let add_object t raw_attrs =
   if Vec.dim raw_attrs <> t.utility.Topk.Utility.dim_in then
     invalid_arg "Instance.add_object: attribute arity mismatch";
-  let feat = t.utility.Topk.Utility.features raw_attrs in
+  let feat = object_features "add_object" t.utility raw_attrs in
   {
     t with
     raw = Array.append t.raw [| raw_attrs |];
@@ -120,7 +136,7 @@ let update_object t id raw_attrs =
   let raw = Array.copy t.raw in
   let features = Array.copy t.features in
   raw.(id) <- raw_attrs;
-  features.(id) <- t.utility.Topk.Utility.features raw_attrs;
+  features.(id) <- object_features "update_object" t.utility raw_attrs;
   { t with raw; features; flat = Flat.update_row t.flat id features.(id) }
 
 let remove_object t id =

@@ -34,7 +34,8 @@ val create :
   t
 (** [utility] defaults to linear over the data's arity; [order] to
     [Asc]. Query weights must live in the utility's feature space.
-    @raise Invalid_argument on arity mismatches or empty data. *)
+    @raise Invalid_argument on arity mismatches, empty data, or a NaN
+    or infinite attribute, feature or query weight. *)
 
 val n_objects : t -> int
 
@@ -65,7 +66,10 @@ val with_feature : t -> target:int -> Vec.t -> t
 val query_points : t -> Vec.t array
 (** Query weight vectors as points of the function domain. *)
 
-(** {2 Dataset maintenance (Section 4.3 support)} *)
+(** {2 Dataset maintenance (Section 4.3 support)}
+
+    Each update raises [Invalid_argument] on an arity mismatch and on a
+    NaN or infinite attribute, feature or weight, as {!create} does. *)
 
 val add_query : t -> Topk.Query.t -> t
 (** Append a query (weights in the utility's feature space; the
@@ -79,7 +83,7 @@ val add_object : t -> Vec.t -> t
 (** Append an object given by raw attributes; it gets id [n_objects]. *)
 
 val update_object : t -> int -> Vec.t -> t
-(** Replace object [id]'s raw attributes in place (its feature image is
+(** Replace object [id]'s raw attributes (its feature image is
     recomputed); the id and every other object are unchanged. *)
 
 val remove_object : t -> int -> t

@@ -2,16 +2,18 @@ open Geom
 
 type group = { gid : int; prefix : int array; members : int array }
 
+(* Immutable: the Section 4.3 updates below return a new record, so a
+   reader holding an older index keeps a consistent view. *)
 type t = {
-  mutable inst : Instance.t;
+  inst : Instance.t;
   depth : int;
-  mutable groups : group array;
-  mutable gid_of : int array; (* query idx -> gid *)
-  mutable rtree : int Rtree.t;
-  mutable rivals : int array;
-  mutable build_seconds : float;
-  mutable hint_hits : int;
-  mutable hint_misses : int;
+  groups : group array;
+  gid_of : int array; (* query idx -> gid *)
+  rtree : int Rtree.t; (* query points; never updated, only rebuilt *)
+  rivals : int array; (* sorted *)
+  build_seconds : float;
+  hint_hits : int;
+  hint_misses : int;
 }
 
 type build_method = Scan | Threshold_algorithm
@@ -77,13 +79,6 @@ let build_rtree inst =
   in
   Rtree.bulk_load ~dim entries
 
-let refresh t prefixes =
-  let groups, gid_of = group_prefixes prefixes in
-  t.groups <- groups;
-  t.gid_of <- gid_of;
-  t.rivals <- rival_set groups;
-  t.rtree <- build_rtree t.inst
-
 let build ?(depth_slack = 0) ?(method_ = Scan) ?pool inst =
   let t0 = Unix.gettimeofday () in
   let m = Instance.n_queries inst in
@@ -115,20 +110,22 @@ let build ?(depth_slack = 0) ?(method_ = Scan) ?pool inst =
         out
   in
   let groups, gid_of = group_prefixes prefixes in
+  let rtree = build_rtree inst in
+  let rivals = rival_set groups in
+  let build_seconds = Unix.gettimeofday () -. t0 in
   let t =
     {
       inst;
       depth;
       groups;
       gid_of;
-      rtree = build_rtree inst;
-      rivals = rival_set groups;
-      build_seconds = 0.;
+      rtree;
+      rivals;
+      build_seconds;
       hint_hits = 0;
       hint_misses = 0;
     }
   in
-  t.build_seconds <- Unix.gettimeofday () -. t0;
   Log.info (fun m ->
       m "index built: %d queries, %d groups, depth %d, %.3fs"
         (Instance.n_queries inst)
@@ -140,7 +137,6 @@ let depth t = t.depth
 let groups t = t.groups
 let group_of t qi = t.groups.(t.gid_of.(qi))
 let n_groups t = Array.length t.groups
-let rtree t = t.rtree
 let candidate_rivals t = t.rivals
 let build_seconds t = t.build_seconds
 let hint_stats t = (t.hint_hits, t.hint_misses)
@@ -216,6 +212,12 @@ let slab_queries t ~normal_before ~normal_after f =
 
 (* --- Section 4.3: data updating ------------------------------------- *)
 
+(* Each update computes the successor's instance and per-query
+   prefixes, then derives a new record from them. Nothing reachable
+   from the argument index is written: prefixes the update leaves
+   alone are shared with it, and [Instance]'s updates are functional
+   too (untouched column slabs are shared). *)
+
 let better (s1, i1) (s2, i2) = s1 < s2 || (s1 = s2 && i1 < i2)
 
 (* Verify that a candidate prefix (borrowed from a kNN neighbour's
@@ -259,261 +261,123 @@ let verify_prefix inst ~w prefix =
 let current_prefixes t =
   Array.init (Array.length t.gid_of) (fun qi -> (group_of t qi).prefix)
 
-let add_query t (q : Topk.Query.t) =
+(* The index over [inst] whose query [qi] has prefix [prefixes.(qi)];
+   depth, build time and hint counters carry over from [t]. The R-tree
+   holds only query points, and object updates keep the instance's
+   query array itself, so after one the parent's tree is reused. *)
+let successor t inst prefixes =
+  let groups, gid_of = group_prefixes prefixes in
+  let rtree =
+    if inst.Instance.queries == t.inst.Instance.queries then t.rtree
+    else build_rtree inst
+  in
+  { t with inst; groups; gid_of; rtree; rivals = rival_set groups }
+
+(* Whether [id] appears in some cached prefix: [rivals] is sorted, so
+   a binary search answers exactly. *)
+let is_rival t id =
+  let rec search lo hi =
+    lo < hi
+    &&
+    let mid = lo + ((hi - lo) / 2) in
+    let r = t.rivals.(mid) in
+    r = id || if r < id then search (mid + 1) hi else search lo mid
+  in
+  search 0 (Array.length t.rivals)
+
+let with_query_added t (q : Topk.Query.t) =
   if q.Topk.Query.k + 1 > t.depth then
     invalid_arg
-      "Query_index.add_query: k exceeds the index depth (rebuild with \
-       depth_slack)";
-  let inst' = Instance.add_query t.inst q in
-  let m = Instance.n_queries inst' in
-  let qi = m - 1 in
-  let w = inst'.Instance.queries.(qi).Topk.Query.weights in
+      "Query_index.with_query_added: k exceeds the index depth (rebuild \
+       with depth_slack)";
+  let inst = Instance.add_query t.inst q in
+  let qi = Instance.n_queries inst - 1 in
+  let w = inst.Instance.queries.(qi).Topk.Query.weights in
   (* kNN hint: try the nearest existing query's subdomain first. *)
   let hint =
     match Rtree.nearest t.rtree w 1 with
     | [ (_, _, neighbour) ] -> Some (group_of t neighbour).prefix
     | _ -> None
   in
-  let prefix =
+  let prefix, hint_hits, hint_misses =
     match hint with
-    | Some candidate when verify_prefix inst' ~w candidate ->
-        t.hint_hits <- t.hint_hits + 1;
-        candidate
+    | Some candidate when verify_prefix inst ~w candidate ->
+        (candidate, t.hint_hits + 1, t.hint_misses)
     | Some _ | None ->
-        t.hint_misses <- t.hint_misses + 1;
-        Array.of_list
-          (Topk.Eval.top_k inst'.Instance.features ~weights:w ~k:t.depth)
+        (compute_prefix inst t.depth qi, t.hint_hits, t.hint_misses + 1)
   in
-  let prefixes = Array.append (current_prefixes t) [| prefix |] in
-  t.inst <- inst';
-  refresh t prefixes;
-  qi
-
-let remove_query t qi =
-  let prefixes = current_prefixes t in
-  let m = Array.length prefixes in
-  if qi < 0 || qi >= m then invalid_arg "Query_index.remove_query: bad index";
-  let prefixes' =
-    Array.init (m - 1) (fun j -> if j < qi then prefixes.(j) else prefixes.(j + 1))
-  in
-  t.inst <- Instance.remove_query t.inst qi;
-  refresh t prefixes'
-
-let add_object t raw_attrs =
-  let inst' = Instance.add_object t.inst raw_attrs in
-  let id = Instance.n_objects inst' - 1 in
-  let feat = inst'.Instance.features.(id) in
-  let prefixes = current_prefixes t in
-  (* The new object can only push into prefixes it beats the tail of. *)
-  let updated =
-    Array.mapi
-      (fun qi prefix ->
-        let w = inst'.Instance.queries.(qi).Topk.Query.weights in
-        let s_new = Vec.dot w feat in
-        let depth = Array.length prefix in
-        let score i = Vec.dot w inst'.Instance.features.(prefix.(i)) in
-        if
-          depth > 0
-          && not (better (s_new, id) (score (depth - 1), prefix.(depth - 1)))
-          && depth >= t.depth
-        then prefix
-        else begin
-          (* Insert in sorted position; drop overflow beyond depth. *)
-          let inserted = ref false in
-          let out = ref [] in
-          Array.iteri
-            (fun i pid ->
-              if (not !inserted) && better (s_new, id) (score i, pid) then begin
-                out := pid :: id :: !out;
-                inserted := true
-              end
-              else out := pid :: !out)
-            prefix;
-          if not !inserted then out := id :: !out;
-          let full = List.rev !out in
-          Array.of_list (List.filteri (fun i _ -> i < t.depth) full)
-        end)
-      prefixes
-  in
-  t.inst <- inst';
-  refresh t updated;
-  id
-
-(* --- persistence ------------------------------------------------------ *)
-
-(* A snapshot stores only plain data (no closures): the raw attributes,
-   the feature images, the effective (minimizing) query weights, and the
-   cached prefixes. Loading reconstructs the R-tree and groups. The
-   utility's feature map is NOT stored — the loaded instance treats the
-   saved feature vectors as its objects (exact for linear utilities;
-   for feature-mapped ones the loaded index works in feature space,
-   which is where all IQ processing happens anyway). *)
-type snapshot = {
-  s_raw : Vec.t array;
-  s_features : Vec.t array;
-  s_queries : (float array * int * int) array; (* weights, k, id *)
-  s_prefixes : int array array;
-  s_depth : int;
-}
-
-let snapshot_magic = "iq-index-v1"
-
-let save t path =
-  let inst = t.inst in
-  let snap =
-    {
-      s_raw = inst.Instance.raw;
-      s_features = inst.Instance.features;
-      s_queries =
-        Array.map
-          (fun (q : Topk.Query.t) ->
-            (q.Topk.Query.weights, q.Topk.Query.k, q.Topk.Query.id))
-          inst.Instance.queries;
-      s_prefixes = current_prefixes t;
-      s_depth = t.depth;
-    }
-  in
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      (* A plain-text magic line guards the unmarshal: reading a
-         marshalled value at the wrong type is memory-unsafe, so the
-         check must happen before Marshal runs. *)
-      output_string oc snapshot_magic;
-      output_char oc '\n';
-      Marshal.to_channel oc snap [])
-
-let load path =
-  let ic = open_in_bin path in
-  let snap =
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        let magic =
-          try input_line ic with End_of_file -> ""
-        in
-        if magic <> snapshot_magic then
-          invalid_arg "Query_index.load: not an index snapshot";
-        (Marshal.from_channel ic : snapshot))
-  in
-  let queries =
-    Array.to_list snap.s_queries
-    |> List.map (fun (w, k, id) -> Topk.Query.make ~id ~k w)
-  in
-  (* The loaded instance's objects are the saved feature vectors; the
-     original raw attributes are kept in the snapshot for forward
-     compatibility but not re-attached (the utility closure is gone). *)
-  ignore snap.s_raw;
-  let inst = Instance.create ~data:snap.s_features ~queries () in
-  let groups, gid_of = group_prefixes snap.s_prefixes in
-  let t =
-    {
-      inst;
-      depth = snap.s_depth;
-      groups;
-      gid_of;
-      rtree = build_rtree inst;
-      rivals = rival_set groups;
-      build_seconds = 0.;
-      hint_hits = 0;
-      hint_misses = 0;
-    }
-  in
-  t
-
-let prefix_filter t =
-  let filter = Bloom.create ~expected:(Int.max 1 (Array.length t.rivals)) () in
-  Array.iter (fun id -> Bloom.add filter id) t.rivals;
-  filter
-
-let update_object t id raw_attrs =
-  let filter = prefix_filter t in
-  let inst' = Instance.update_object t.inst id raw_attrs in
-  let feat = inst'.Instance.features.(id) in
-  let might_contain = Bloom.mem filter id in
-  let prefixes = current_prefixes t in
-  let updated =
-    Array.mapi
-      (fun qi prefix ->
-        let w = inst'.Instance.queries.(qi).Topk.Query.weights in
-        let depth = Array.length prefix in
-        let contains =
-          might_contain && Array.exists (fun p -> p = id) prefix
-        in
-        let cuts =
-          (not contains) && depth > 0
-          &&
-          let s_new = Vec.dot w feat in
-          let last = prefix.(depth - 1) in
-          let s_last = Vec.dot w inst'.Instance.features.(last) in
-          better (s_new, id) (s_last, last)
-        in
-        if contains || cuts || depth < t.depth then
-          (* The moved object bounds (or now cuts into) this query's
-             subdomain: recompute its prefix against the new features. *)
-          Array.of_list
-            (Topk.Eval.top_k inst'.Instance.features ~weights:w ~k:t.depth)
-        else prefix)
-      prefixes
-  in
-  t.inst <- inst';
-  refresh t updated
-
-let remove_object t id =
-  let filter = prefix_filter t in
-  let inst' = Instance.remove_object t.inst id in
-  let prefixes = current_prefixes t in
-  let might_contain = Bloom.mem filter id in
-  let remap pid = if pid > id then pid - 1 else pid in
-  let updated =
-    Array.mapi
-      (fun qi prefix ->
-        let contains = might_contain && Array.exists (fun p -> p = id) prefix in
-        if contains then begin
-          (* This query's subdomain loses a boundary object: recompute. *)
-          let w = inst'.Instance.queries.(qi).Topk.Query.weights in
-          Array.of_list
-            (Topk.Eval.top_k inst'.Instance.features ~weights:w ~k:t.depth)
-        end
-        else Array.map remap prefix)
-      prefixes
-  in
-  t.inst <- inst';
-  refresh t updated
-
-(* --- copy-on-write variants ----------------------------------------- *)
-
-(* The in-place mutators above never patch a shared array: each one
-   computes a fresh [inst'] (Instance's update paths are functional)
-   and a fresh prefix table, then wholesale-assigns the derived fields
-   via [refresh]. Running them against a shallow copy of the record
-   therefore leaves the original index fully intact — unchanged prefix
-   arrays and the old instance's slabs are shared structurally, and a
-   reader holding the original never observes a half-applied update. *)
-let shallow_copy t = { t with inst = t.inst }
-
-let with_query_added t q =
-  let t' = shallow_copy t in
-  let qi = add_query t' q in
-  (t', qi)
+  let t' = successor t inst (Array.append (current_prefixes t) [| prefix |]) in
+  ({ t' with hint_hits; hint_misses }, qi)
 
 let with_query_removed t qi =
-  let t' = shallow_copy t in
-  remove_query t' qi;
-  t'
+  let m = Array.length t.gid_of in
+  if qi < 0 || qi >= m then
+    invalid_arg "Query_index.with_query_removed: bad index";
+  let prefixes =
+    Array.init (m - 1) (fun j -> (group_of t (if j < qi then j else j + 1)).prefix)
+  in
+  successor t (Instance.remove_query t.inst qi) prefixes
 
 let with_object_added t raw_attrs =
-  let t' = shallow_copy t in
-  let id = add_object t' raw_attrs in
-  (t', id)
+  let inst = Instance.add_object t.inst raw_attrs in
+  let id = Instance.n_objects inst - 1 in
+  let feat = inst.Instance.features.(id) in
+  (* The new object enters a prefix at the first entry it beats, or at
+     the end of a prefix shorter than the depth; every other prefix is
+     shared unchanged. *)
+  let insert qi prefix =
+    let w = inst.Instance.queries.(qi).Topk.Query.weights in
+    let entry = (Vec.dot w feat, id) in
+    let len = Array.length prefix in
+    let rec position i =
+      if i < len
+         && not
+              (better entry
+                 (Vec.dot w inst.Instance.features.(prefix.(i)), prefix.(i)))
+      then position (i + 1)
+      else i
+    in
+    let p = position 0 in
+    if p >= t.depth then prefix
+    else
+      Array.init
+        (Int.min t.depth (len + 1))
+        (fun i -> if i < p then prefix.(i) else if i = p then id else prefix.(i - 1))
+  in
+  (successor t inst (Array.mapi insert (current_prefixes t)), id)
 
 let with_object_updated t id raw_attrs =
-  let t' = shallow_copy t in
-  update_object t' id raw_attrs;
-  t'
+  let inst = Instance.update_object t.inst id raw_attrs in
+  let feat = inst.Instance.features.(id) in
+  let bounded = is_rival t id in
+  let maintain qi prefix =
+    let w = inst.Instance.queries.(qi).Topk.Query.weights in
+    let len = Array.length prefix in
+    let contains = bounded && Array.exists (fun p -> p = id) prefix in
+    let cuts =
+      (not contains) && len > 0
+      &&
+      let last = prefix.(len - 1) in
+      better (Vec.dot w feat, id) (Vec.dot w inst.Instance.features.(last), last)
+    in
+    (* The moved object bounds (or now cuts into) this query's
+       subdomain: recompute its prefix against the new features. A
+       prefix shorter than the depth holds every object, so it always
+       contains [id]. *)
+    if contains || cuts then compute_prefix inst t.depth qi
+    else prefix
+  in
+  successor t inst (Array.mapi maintain (current_prefixes t))
 
 let with_object_removed t id =
-  let t' = shallow_copy t in
-  remove_object t' id;
-  t'
+  let inst = Instance.remove_object t.inst id in
+  let bounded = is_rival t id in
+  let remap pid = if pid > id then pid - 1 else pid in
+  let maintain qi prefix =
+    (* A subdomain that loses a boundary object recomputes; the others
+       only renumber the ids above [id]. *)
+    if bounded && Array.exists (fun p -> p = id) prefix then
+      compute_prefix inst t.depth qi
+    else Array.map remap prefix
+  in
+  successor t inst (Array.mapi maintain (current_prefixes t))

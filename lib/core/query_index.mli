@@ -53,13 +53,11 @@ val group_of : t -> int -> group
 
 val n_groups : t -> int
 
-val rtree : t -> int Rtree.t
-(** Query-point R-tree; payloads are query indices. *)
-
 val candidate_rivals : t -> int array
-(** Object ids appearing in at least one cached prefix — the only
-    possible swap partners whose intersections with a target can change
-    any query's result (the Fact-2 elimination of Section 4.1). *)
+(** Object ids appearing in at least one cached prefix, in ascending
+    order — the only possible swap partners whose intersections with a
+    target can change any query's result (the Fact-2 elimination of
+    Section 4.1). *)
 
 val build_seconds : t -> float
 
@@ -85,81 +83,44 @@ val slab_queries :
 
 (** {2 Data updating — Section 4.3}
 
-    All update operations maintain the index in place. Evaluator/ESE
-    states prepared before an update are stale afterwards; prepare
-    fresh ones. *)
+    An index is an immutable value, and these functions are its only
+    update path: each returns a successor index and leaves its argument
+    intact, so a reader holding the original keeps searching a
+    consistent snapshot while a writer builds the next generation.
+    Prefix arrays an update does not change, and the instance's
+    untouched column slabs, are shared between the two. Evaluator/ESE
+    states prepared against an index describe that index only; prepare
+    fresh ones for its successor. *)
 
-val add_query : t -> Topk.Query.t -> int
-(** Insert a top-k query, returning its index. The nearest existing
-    query's subdomain is tried first (the paper's kNN shortcut) and
-    verified against its boundaries; only on mismatch is the prefix
-    recomputed from scratch.
+val with_query_added : t -> Topk.Query.t -> t * int
+(** Insert a top-k query, returning the successor and the query's
+    index. The nearest existing query's subdomain is tried first (the
+    paper's kNN shortcut) and verified against its boundaries; only on
+    mismatch is the prefix computed from scratch.
     @raise Invalid_argument when the query's [k] exceeds the index
     depth (rebuild with [depth_slack] instead). *)
 
-val remove_query : t -> int -> unit
-(** Remove the query at an index; later query indices shift down. *)
-
-val add_object : t -> Vec.t -> int
-(** Insert an object (raw attributes), returning its id. Subdomain
-    boundaries move only where the new function cuts into a cached
-    prefix; those prefixes are updated by sorted insertion, everything
-    else is untouched. *)
-
-val remove_object : t -> int -> unit
-(** Remove an object id (later ids shift down). The Bloom filter over
-    prefix membership ({!prefix_filter}) short-circuits the search for
-    affected subdomains; only those recompute their prefixes. *)
-
-val prefix_filter : t -> int Bloom.t
-(** Bloom filter over object ids that bound some populated subdomain
-    (appear in a cached prefix) — Section 4.3's structure. *)
-
-(** {2 Copy-on-write variants}
-
-    Functional counterparts of the update operations above: the input
-    index is left fully intact and a new index is returned, so a reader
-    holding the original can keep searching against a consistent
-    snapshot while a writer builds the next generation. Unchanged
-    prefix arrays and the instance's untouched column slabs are shared
-    structurally between the two. *)
-
-val with_query_added : t -> Topk.Query.t -> t * int
-(** Functional {!add_query}: returns the new index and the inserted
-    query's index. @raise Invalid_argument as {!add_query}. *)
-
 val with_query_removed : t -> int -> t
-(** Functional {!remove_query}. *)
+(** Remove the query at an index; later query indices shift down.
+    @raise Invalid_argument on an index out of range. *)
 
 val with_object_added : t -> Vec.t -> t * int
-(** Functional {!add_object}: returns the new index and the object id. *)
+(** Insert an object (raw attributes), returning the successor and the
+    object's id. Subdomain boundaries move only where the new function
+    cuts into a cached prefix; those prefixes gain it by sorted
+    insertion, every other prefix is shared. *)
 
 val with_object_updated : t -> int -> Vec.t -> t
-(** Functional in-place object update: replace object [id]'s raw
-    attributes keeping its id, in a successor index. Only subdomains
-    whose cached prefix contains [id] (found via the {!prefix_filter}
-    Bloom filter) or that the moved object now cuts into recompute
-    their prefixes; everything else is shared with the parent. *)
+(** Replace object [id]'s raw attributes, keeping its id. Only
+    subdomains whose cached prefix contains [id] (a binary search of
+    {!candidate_rivals} rules out most of them) or that the moved
+    object now cuts into recompute their prefixes; every other prefix
+    is shared. *)
 
 val with_object_removed : t -> int -> t
-(** Functional {!remove_object}. *)
+(** Remove an object id (later ids shift down). Only the prefixes that
+    contain it are recomputed; the others are renumbered. *)
 
 val hint_stats : t -> int * int
-(** [(hits, misses)] of the kNN subdomain shortcut across
-    {!add_query} calls. *)
-
-(** {2 Persistence}
-
-    Snapshots store plain data only — raw attributes, feature vectors,
-    effective query weights and the cached prefixes; the utility's
-    feature map (a closure) is not stored. A loaded index works in
-    feature space, which is where all IQ processing happens; for linear
-    utilities this is a perfect round trip. *)
-
-val save : t -> string -> unit
-(** Write a binary index snapshot. *)
-
-val load : string -> t
-(** Load a snapshot written by {!save}. The loaded instance's objects
-    are the saved feature vectors (weights already in the minimizing
-    convention). @raise Invalid_argument on a non-snapshot file. *)
+(** [(hits, misses)] of the kNN subdomain shortcut across the
+    {!with_query_added} calls that led to this index. *)

@@ -5,9 +5,8 @@
     convention, the order flag, the index depth, and the generation
     stamp — enough for [Recovery] to rebuild a byte-identical engine
     through [Instance.create] and the normal index build. No closures
-    are stored, so only {e linear-utility} engines are checkpointable
-    (the same restriction [Query_index.save] documents); feature-mapped
-    engines get [Invalid_argument] from {!of_snapshot}.
+    are stored, so only {e linear-utility} engines are checkpointable;
+    feature-mapped engines get [Invalid_argument] from {!of_snapshot}.
 
     {b Atomicity.} {!write} goes tmp → flush → fsync → rename. A crash
     at any point (the [checkpoint.write] / [checkpoint.rename] fault

@@ -313,6 +313,11 @@ let check_escape_ident ctx loc txt =
     | Ldot (Lident "Obj", "magic") ->
         report ctx loc rule_escape
           "Obj.magic defeats the type system; restructure the types instead"
+    | Ldot (Lident "Marshal", ("from_channel" | "from_string" | "from_bytes"))
+      ->
+        report ctx loc rule_escape
+          "Marshal.from_* is undefined behaviour on corrupt or mistyped \
+           bytes; decode stored data through a checked format instead"
     | _ -> ()
 
 let check_assert_false ctx e =

@@ -27,8 +27,8 @@
     - [partial-function]: [List.hd], [List.tl], [List.nth],
       [Option.get], [Hashtbl.find], [Array.unsafe_get].
     - [catch-all-handler]: [try ... with _ ->] outside test code.
-    - [forbidden-escape]: [Obj.magic] or [assert false] outside test
-      code.
+    - [forbidden-escape]: [Obj.magic], [Marshal.from_*] or
+      [assert false] outside test code.
 
     Whole-program rules (computed over a cross-module call graph; see
     DESIGN.md "Whole-program lint" and "Protocol analysis" for the

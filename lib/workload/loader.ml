@@ -81,7 +81,25 @@ let load_objects file =
   let* table = load_table file in
   let* () = check_unique_ids ~file ~what:"object" table in
   match objects_of_table table with
-  | _, points -> Ok (table, points)
+  | cols, points -> (
+      (* NaN and infinite cells parse as floats, but no object can be
+         ranked by them: reject the first at its line. *)
+      let bad_cell i p =
+        Array.find_index (fun x -> not (Float.is_finite x)) p
+        |> Option.map (fun j -> (i, j))
+      in
+      match Array.find_mapi bad_cell points with
+      | None -> Ok (table, points)
+      | Some (i, j) ->
+          Error
+            (`Parse_error
+               {
+                 file;
+                 line = i + 2;
+                 msg =
+                   Printf.sprintf "non-finite value in column %s"
+                     (Array.of_list cols).(j);
+               }))
   | exception Invalid_argument _ ->
       Error
         (`Parse_error
@@ -102,7 +120,9 @@ let query_of_row ~k_idx ~id_idx ~weight_cols fallback_id row =
         | [] -> Ok (Topk.Query.make ~id ~k (Array.of_list (List.rev acc)))
         | i :: rest -> (
             match Value.to_float row.(i) with
-            | Some f -> weights (f :: acc) rest
+            | Some f when Float.is_finite f -> weights (f :: acc) rest
+            | Some _ ->
+                Error (Printf.sprintf "non-finite weight in column %d" i)
             | None ->
                 Error (Printf.sprintf "non-numeric weight in column %d" i))
       in

@@ -39,7 +39,8 @@ val load_objects :
   (Relation.Table.t * Geom.Vec.t array, [ `Parse_error of parse_error ]) result
 (** Load a CSV file and extract its numeric columns as objects. With
     an [id] column, ids must be unique integers; a duplicate is a
-    [`Parse_error] at the line of its second occurrence. *)
+    [`Parse_error] at the line of its second occurrence. A NaN or
+    infinite cell is a [`Parse_error] at its line. *)
 
 val queries_of_table : Relation.Table.t -> Topk.Query.t list
 (** @raise Failure when the [k] column is missing or malformed.
@@ -50,7 +51,8 @@ val load_queries :
   string -> (Topk.Query.t list, [ `Parse_error of parse_error ]) result
 (** As {!queries_of_table} but from a file, reporting the offending
     line: a missing [k] column points at the header, a bad [k],
-    non-numeric weight, or duplicate [id] at its data row. *)
+    non-numeric or non-finite weight, or duplicate [id] at its data
+    row. *)
 
 val queries_to_table : Topk.Query.t list -> Relation.Table.t
 (** Inverse of {!queries_of_table}: a [k] column plus [w0..w(d-1)]. *)

@@ -189,6 +189,80 @@ let test_simplex_tiny_coefficients () =
       Alcotest.(check bool) "finite optimum" true (Float.is_finite v)
   | _ -> Alcotest.fail "expected optimum"
 
+(* --- non-finite input --- *)
+
+let ok = function
+  | Ok v -> v
+  | Error e -> Alcotest.fail (Engine.Error.to_string e)
+
+let expect_non_finite what = function
+  | Error (Engine.Error.Non_finite { what = w; _ }) ->
+      Alcotest.(check string) "rejected input" what w
+  | Error e -> Alcotest.failf "wrong error: %s" (Engine.Error.to_string e)
+  | Ok _ -> Alcotest.failf "a non-finite %s was accepted" what
+
+let test_engine_rejects_non_finite () =
+  (* A NaN breaks the ranking order, after which the maintained index
+     no longer matches a fresh build of the same instance (and recovery,
+     which rebuilds, would disagree with the writer). Every mutation
+     must refuse such input before it is journaled. *)
+  for seed = 1 to 20 do
+    let rng = Workload.Rng.make seed in
+    let data = Workload.Datagen.generate rng Workload.Datagen.Independent ~n:40 ~d:2 in
+    let queries =
+      Workload.Querygen.linear rng Workload.Querygen.Uniform ~k_range:(1, 5)
+        ~m:30 ~d:2 ()
+    in
+    let e = ok (Engine.create (Instance.create ~data ~queries ())) in
+    expect_non_finite "object attribute"
+      (Engine.update_object e (seed mod 40) [| Float.nan; 0.5 |]);
+    expect_non_finite "object attribute"
+      (Engine.add_object e [| 0.2; Float.infinity |]);
+    expect_non_finite "query weight"
+      (Engine.add_query e (Topk.Query.make ~k:2 [| Float.nan; 0.3 |]));
+    Alcotest.(check int) "no generation published" 0 (Engine.generation e);
+    let fresh = ok (Engine.create (Engine.instance e)) in
+    for target = 0 to 39 do
+      Alcotest.(check int)
+        (Printf.sprintf "seed %d target %d hits = fresh build" seed target)
+        (ok (Engine.hits fresh ~target))
+        (ok (Engine.hits e ~target))
+    done
+  done
+
+let test_instance_rejects_non_finite () =
+  let raises f = try ignore (f ()); false with Invalid_argument _ -> true in
+  let queries = [ Topk.Query.make ~k:1 [| 0.5; 0.5 |] ] in
+  Alcotest.(check bool)
+    "NaN attribute" true
+    (raises (fun () ->
+         Instance.create ~data:[| [| 0.1; Float.nan |] |] ~queries ()));
+  Alcotest.(check bool)
+    "infinite weight" true
+    (raises (fun () ->
+         Instance.create ~data:[| [| 0.1; 0.2 |] |]
+           ~queries:[ Topk.Query.make ~k:1 [| Float.neg_infinity; 0.5 |] ]
+           ()))
+
+let test_loader_rejects_non_finite () =
+  let line_of load contents =
+    let path = Filename.temp_file "iq_non_finite" ".csv" in
+    let oc = open_out path in
+    output_string oc contents;
+    close_out oc;
+    let r = load path in
+    Sys.remove path;
+    match r with
+    | Error (`Parse_error e) -> e.Workload.Loader.line
+    | Ok _ -> Alcotest.fail "a non-finite cell was accepted"
+  in
+  Alcotest.(check int)
+    "NaN object cell -> its line" 3
+    (line_of Workload.Loader.load_objects "a,b\n0.1,0.2\n0.3,nan\n0.4,0.5\n");
+  Alcotest.(check int)
+    "infinite weight -> its line" 4
+    (line_of Workload.Loader.load_queries "k,w0,w1\n1,0.5,0.5\n2,0.1,0.9\n2,inf,0.1\n")
+
 let suite =
   [
     Alcotest.test_case "duplicate objects" `Quick test_duplicate_objects;
@@ -206,4 +280,10 @@ let suite =
     Alcotest.test_case "rtree identical points" `Quick test_rtree_identical_points;
     Alcotest.test_case "rtree collinear points" `Quick test_rtree_collinear_points;
     Alcotest.test_case "simplex tiny coefficients" `Quick test_simplex_tiny_coefficients;
+    Alcotest.test_case "engine rejects non-finite input" `Quick
+      test_engine_rejects_non_finite;
+    Alcotest.test_case "instance rejects non-finite input" `Quick
+      test_instance_rejects_non_finite;
+    Alcotest.test_case "loaders reject non-finite cells" `Quick
+      test_loader_rejects_non_finite;
   ]

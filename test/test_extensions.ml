@@ -102,7 +102,17 @@ let fresh_index seed =
   let inst = Instance.create ~data ~queries () in
   Query_index.build inst
 
-let assert_index_consistent idx =
+(* What an update must leave intact in its argument index: the
+   membership matrix, group count and footprint. *)
+let observe idx =
+  let inst = Query_index.instance idx in
+  ( Array.init (Instance.n_queries inst) (fun q ->
+        Array.init (Instance.n_objects inst) (fun id ->
+            Query_index.member idx ~q id)),
+    Query_index.n_groups idx,
+    Query_index.size_words idx )
+
+let assert_index_consistent ?parent idx =
   (* Compare every membership against a freshly built index. *)
   let inst = Query_index.instance idx in
   let fresh = Query_index.build inst in
@@ -111,51 +121,77 @@ let assert_index_consistent idx =
       if Query_index.member idx ~q id <> Query_index.member fresh ~q id then
         Alcotest.failf "stale membership id=%d q=%d" id q
     done
-  done
+  done;
+  match parent with
+  | None -> ()
+  | Some (parent, before) ->
+      if observe parent <> before then
+        Alcotest.fail "the update changed its parent index"
+
+(* Apply a functional update, then check the successor against a fresh
+   build and the parent against what it held before the update. *)
+let updated parent update =
+  let before = observe parent in
+  let idx, r = update parent in
+  assert_index_consistent ~parent:(parent, before) idx;
+  (idx, r)
+
+let unit_update f idx = (f idx, ())
 
 let test_add_query () =
-  let idx = fresh_index 101 in
-  let qi = Query_index.add_query idx (Topk.Query.make ~k:3 [| 0.2; 0.3; 0.5 |]) in
-  Alcotest.(check int) "appended" (Instance.n_queries (Query_index.instance idx) - 1) qi;
-  assert_index_consistent idx
+  let idx, qi =
+    updated (fresh_index 101) (fun idx ->
+        Query_index.with_query_added idx
+          (Topk.Query.make ~k:3 [| 0.2; 0.3; 0.5 |]))
+  in
+  Alcotest.(check int) "appended" (Instance.n_queries (Query_index.instance idx) - 1) qi
 
 let test_add_query_hint_hits_for_duplicate () =
-  let idx = fresh_index 102 in
-  let inst = Query_index.instance idx in
+  let parent = fresh_index 102 in
+  let inst = Query_index.instance parent in
   (* Re-adding an existing query point must verify via the kNN hint. *)
   let w = Geom.Vec.copy inst.Instance.queries.(0).Topk.Query.weights in
   let k = inst.Instance.queries.(0).Topk.Query.k in
-  ignore (Query_index.add_query idx (Topk.Query.make ~k w));
+  let idx, _ =
+    updated parent (fun idx ->
+        Query_index.with_query_added idx (Topk.Query.make ~k w))
+  in
   let hits, misses = Query_index.hint_stats idx in
   Alcotest.(check bool)
     (Printf.sprintf "hint hit (%d/%d)" hits misses)
     true (hits >= 1);
-  assert_index_consistent idx
+  Alcotest.(check (pair int int))
+    "parent counters untouched" (0, 0)
+    (Query_index.hint_stats parent)
 
 let test_add_query_k_guard () =
   let idx = fresh_index 103 in
   Alcotest.(check bool)
     "too-deep k rejected" true
     (try
-       ignore (Query_index.add_query idx (Topk.Query.make ~k:100 [| 1.; 1.; 1. |]));
+       ignore
+         (Query_index.with_query_added idx
+            (Topk.Query.make ~k:100 [| 1.; 1.; 1. |]));
        false
      with Invalid_argument _ -> true)
 
 let test_remove_query () =
-  let idx = fresh_index 104 in
-  let before = Instance.n_queries (Query_index.instance idx) in
-  Query_index.remove_query idx 10;
+  let parent = fresh_index 104 in
+  let before = Instance.n_queries (Query_index.instance parent) in
+  let idx, () =
+    updated parent (unit_update (fun idx -> Query_index.with_query_removed idx 10))
+  in
   Alcotest.(check int)
     "one fewer" (before - 1)
-    (Instance.n_queries (Query_index.instance idx));
-  assert_index_consistent idx
+    (Instance.n_queries (Query_index.instance idx))
 
 let test_add_object () =
-  let idx = fresh_index 105 in
   (* A dominant object must enter many prefixes. *)
-  let id = Query_index.add_object idx [| 0.01; 0.01; 0.01 |] in
+  let idx, id =
+    updated (fresh_index 105) (fun idx ->
+        Query_index.with_object_added idx [| 0.01; 0.01; 0.01 |])
+  in
   Alcotest.(check int) "id appended" (Instance.n_objects (Query_index.instance idx) - 1) id;
-  assert_index_consistent idx;
   (* It should now hit top-1 for every query (it dominates everything). *)
   let inst = Query_index.instance idx in
   for q = 0 to Instance.n_queries inst - 1 do
@@ -165,106 +201,172 @@ let test_add_object () =
   done
 
 let test_add_object_mediocre () =
-  let idx = fresh_index 106 in
+  let parent = fresh_index 106 in
   (* A dominated object should change nothing. *)
-  let groups_before = Query_index.n_groups idx in
-  ignore (Query_index.add_object idx [| 0.99; 0.99; 0.99 |]);
-  assert_index_consistent idx;
-  Alcotest.(check int) "groups unchanged" groups_before (Query_index.n_groups idx)
+  let idx, _ =
+    updated parent (fun idx ->
+        Query_index.with_object_added idx [| 0.99; 0.99; 0.99 |])
+  in
+  Alcotest.(check int) "groups unchanged" (Query_index.n_groups parent)
+    (Query_index.n_groups idx)
 
 let test_remove_object () =
-  let idx = fresh_index 107 in
+  let parent = fresh_index 107 in
   (* Remove an object that appears in prefixes (pick a rival). *)
-  let victim = (Query_index.candidate_rivals idx).(0) in
-  Query_index.remove_object idx victim;
-  assert_index_consistent idx
+  let victim = (Query_index.candidate_rivals parent).(0) in
+  ignore
+    (updated parent
+       (unit_update (fun idx -> Query_index.with_object_removed idx victim)))
 
 let test_remove_uninvolved_object () =
-  let idx = fresh_index 108 in
-  let inst = Query_index.instance idx in
-  let rivals = Query_index.candidate_rivals idx in
+  let parent = fresh_index 108 in
+  let inst = Query_index.instance parent in
+  let rivals = Query_index.candidate_rivals parent in
   let is_rival id = Array.exists (fun r -> r = id) rivals in
   let victim = ref (-1) in
   for id = Instance.n_objects inst - 1 downto 0 do
     if !victim < 0 && not (is_rival id) then victim := id
   done;
-  if !victim >= 0 then begin
-    Query_index.remove_object idx !victim;
-    assert_index_consistent idx
-  end
+  if !victim >= 0 then
+    ignore
+      (updated parent
+         (unit_update (fun idx -> Query_index.with_object_removed idx !victim)))
 
 let test_update_sequence () =
-  (* A realistic mixed maintenance sequence stays consistent. *)
+  (* A realistic mixed maintenance sequence stays consistent, and every
+     step leaves its parent as it was. *)
   let idx = fresh_index 109 in
-  ignore (Query_index.add_object idx [| 0.3; 0.1; 0.5 |]);
-  ignore (Query_index.add_query idx (Topk.Query.make ~k:2 [| 0.5; 0.5; 0.1 |]));
-  Query_index.remove_object idx 3;
-  Query_index.remove_query idx 0;
-  ignore (Query_index.add_query idx (Topk.Query.make ~k:4 [| 0.1; 0.8; 0.3 |]));
-  ignore (Query_index.add_object idx [| 0.05; 0.6; 0.2 |]);
-  assert_index_consistent idx
+  let idx, _ =
+    updated idx (fun idx -> Query_index.with_object_added idx [| 0.3; 0.1; 0.5 |])
+  in
+  let idx, _ =
+    updated idx (fun idx ->
+        Query_index.with_query_added idx (Topk.Query.make ~k:2 [| 0.5; 0.5; 0.1 |]))
+  in
+  let idx, () =
+    updated idx (unit_update (fun idx -> Query_index.with_object_removed idx 3))
+  in
+  let idx, () =
+    updated idx
+      (unit_update (fun idx ->
+           Query_index.with_object_updated idx 5 [| 0.02; 0.4; 0.1 |]))
+  in
+  let idx, () =
+    updated idx (unit_update (fun idx -> Query_index.with_query_removed idx 0))
+  in
+  let idx, _ =
+    updated idx (fun idx ->
+        Query_index.with_query_added idx (Topk.Query.make ~k:4 [| 0.1; 0.8; 0.3 |]))
+  in
+  ignore
+    (updated idx (fun idx ->
+         Query_index.with_object_added idx [| 0.05; 0.6; 0.2 |]))
 
-let test_save_load_roundtrip () =
-  let idx = fresh_index 111 in
-  let path = Filename.temp_file "iq_index" ".bin" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () ->
-      Query_index.save idx path;
-      let loaded = Query_index.load path in
-      let inst = Query_index.instance idx in
-      Alcotest.(check int)
-        "same object count"
-        (Instance.n_objects inst)
-        (Instance.n_objects (Query_index.instance loaded));
-      Alcotest.(check int) "same depth" (Query_index.depth idx) (Query_index.depth loaded);
-      Alcotest.(check int) "same groups" (Query_index.n_groups idx) (Query_index.n_groups loaded);
-      for id = 0 to Instance.n_objects inst - 1 do
-        for q = 0 to Instance.n_queries inst - 1 do
-          if Query_index.member idx ~q id <> Query_index.member loaded ~q id
-          then Alcotest.failf "loaded membership mismatch id=%d q=%d" id q
-        done
-      done;
-      (* A search on the loaded index behaves identically. *)
-      let cost = Cost.euclidean 3 in
-      let a =
-        Min_cost.search ~evaluator:(Evaluator.ese idx ~target:0) ~cost
-          ~target:0 ~tau:5 ()
-      in
-      let b =
-        Min_cost.search
-          ~evaluator:(Evaluator.ese loaded ~target:0)
-          ~cost ~target:0 ~tau:5 ()
-      in
-      match (a, b) with
-      | Some x, Some y ->
-          Alcotest.(check (float 1e-9))
-            "same cost" x.Min_cost.total_cost y.Min_cost.total_cost
-      | None, None -> ()
-      | _ -> Alcotest.fail "feasibility differs after reload")
-
-let test_load_rejects_garbage () =
-  let path = Filename.temp_file "iq_bad" ".bin" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () ->
-      let oc = open_out_bin path in
-      Marshal.to_channel oc (1, "not an index") [];
-      close_out oc;
-      Alcotest.(check bool)
-        "garbage rejected" true
-        (try
-           ignore (Query_index.load path);
-           false
-         with Invalid_argument _ | Failure _ -> true))
-
-let test_prefix_filter () =
+let test_rivals_sorted_and_complete () =
+  (* [candidate_rivals] is exactly the sorted set of ids in some cached
+     prefix; the update path looks ids up in it by binary search. *)
   let idx = fresh_index 110 in
-  let filter = Query_index.prefix_filter idx in
-  Array.iter
-    (fun id ->
-      Alcotest.(check bool) "rival in filter" true (Bloom.mem filter id))
-    (Query_index.candidate_rivals idx)
+  let from_prefixes =
+    Array.fold_left
+      (fun acc (g : Query_index.group) -> Array.to_list g.Query_index.prefix @ acc)
+      [] (Query_index.groups idx)
+    |> List.sort_uniq Int.compare
+  in
+  Alcotest.(check (list int))
+    "rivals = sorted prefix ids" from_prefixes
+    (Array.to_list (Query_index.candidate_rivals idx))
+
+(* A random trace of functional updates, replayed against a fresh build
+   at the same depth after every step. Removes may shrink the object
+   count below the depth, where every prefix holds all objects. *)
+type op =
+  | Add_query of int * float array
+  | Remove_query of int
+  | Add_object of float array
+  | Update_object of int * float array
+  | Remove_object of int
+
+let d = 2
+
+let op_gen =
+  QCheck.Gen.(
+    let point = array_size (return d) (float_range 0. 1.) in
+    let slot = int_range 0 1_000 in
+    frequency
+      [
+        (2, map2 (fun k w -> Add_query (k, w)) (int_range 1 3) point);
+        (1, map (fun i -> Remove_query i) slot);
+        (2, map (fun p -> Add_object p) point);
+        (3, map2 (fun i p -> Update_object (i, p)) slot point);
+        (3, map (fun i -> Remove_object i) slot);
+      ])
+
+let trace_gen =
+  QCheck.Gen.(
+    let* seed = int_range 1 10_000 in
+    let* n = int_range 6 14 in
+    let* ops = list_size (int_range 1 14) op_gen in
+    return (seed, n, ops))
+
+let print_trace (seed, n, ops) =
+  Printf.sprintf "seed=%d n=%d ops=[%s]" seed n
+    (String.concat "; "
+       (List.map
+          (function
+            | Add_query (k, _) -> Printf.sprintf "add_query k=%d" k
+            | Remove_query i -> Printf.sprintf "remove_query %d" i
+            | Add_object _ -> "add_object"
+            | Update_object (i, _) -> Printf.sprintf "update_object %d" i
+            | Remove_object i -> Printf.sprintf "remove_object %d" i)
+          ops))
+
+let apply idx op =
+  let inst = Query_index.instance idx in
+  let n = Instance.n_objects inst and m = Instance.n_queries inst in
+  match op with
+  | Add_query (k, w) -> fst (Query_index.with_query_added idx (Topk.Query.make ~k w))
+  | Remove_query i when m > 1 -> Query_index.with_query_removed idx (i mod m)
+  | Add_object p -> fst (Query_index.with_object_added idx p)
+  | Update_object (i, p) -> Query_index.with_object_updated idx (i mod n) p
+  | Remove_object i when n > 1 -> Query_index.with_object_removed idx (i mod n)
+  | Remove_query _ | Remove_object _ -> idx
+
+let prefixes idx =
+  Array.init
+    (Instance.n_queries (Query_index.instance idx))
+    (fun q -> (Query_index.group_of idx q).Query_index.prefix)
+
+let prop_trace_matches_build =
+  QCheck.Test.make ~name:"with_* trace = fresh build; parents unchanged"
+    ~count:60
+    (QCheck.make ~print:print_trace trace_gen)
+    (fun (seed, n, ops) ->
+      let rng = Workload.Rng.make seed in
+      let data = Workload.Datagen.generate rng Workload.Datagen.Independent ~n ~d in
+      let queries =
+        Workload.Querygen.linear rng Workload.Querygen.Uniform ~k_range:(1, 3)
+          ~m:8 ~d ()
+      in
+      let idx0 = Query_index.build ~depth_slack:1 (Instance.create ~data ~queries ()) in
+      let depth = Query_index.depth idx0 in
+      let step (current, history) op =
+        let idx = apply current op in
+        let inst = Query_index.instance idx in
+        let depth_slack = depth - 1 - Instance.max_k inst in
+        let fresh = Query_index.build ~depth_slack inst in
+        if prefixes idx <> prefixes fresh then
+          QCheck.Test.fail_report "maintained prefixes differ from a fresh build";
+        if Query_index.n_groups idx <> Query_index.n_groups fresh then
+          QCheck.Test.fail_report "group count differs from a fresh build";
+        List.iter
+          (fun (earlier, seen) ->
+            if observe earlier <> seen then
+              QCheck.Test.fail_report "an update changed an earlier index")
+          history;
+        (idx, (idx, observe idx) :: history)
+      in
+      ignore (List.fold_left step (idx0, [ (idx0, observe idx0) ]) ops);
+      true)
 
 let suite =
   [
@@ -283,7 +385,7 @@ let suite =
     Alcotest.test_case "remove rival object" `Quick test_remove_object;
     Alcotest.test_case "remove uninvolved object" `Quick test_remove_uninvolved_object;
     Alcotest.test_case "mixed update sequence" `Quick test_update_sequence;
-    Alcotest.test_case "prefix bloom filter" `Quick test_prefix_filter;
-    Alcotest.test_case "save/load round trip" `Quick test_save_load_roundtrip;
-    Alcotest.test_case "load rejects garbage" `Quick test_load_rejects_garbage;
+    Alcotest.test_case "rivals sorted and complete" `Quick
+      test_rivals_sorted_and_complete;
+    QCheck_alcotest.to_alcotest prop_trace_matches_build;
   ]

@@ -1,5 +1,4 @@
-(* Tests for the additional top-k index structures: onion layers and
-   PREFER-style materialized views. *)
+(* Tests for the onion-layer top-k index. *)
 
 let rng () = Workload.Rng.make 404
 
@@ -71,54 +70,6 @@ let test_onion_outer_layer_optimal () =
     | _ -> Alcotest.fail "no top-1"
   done
 
-(* --- View --- *)
-
-let test_view_topk_matches_eval () =
-  let data = random_data 400 3 in
-  let r = rng () in
-  let views =
-    List.init 4 (fun _ -> Array.init 3 (fun _ -> Workload.Rng.uniform r))
-  in
-  let t = Topk.View.build ~views data in
-  Alcotest.(check int) "4 views" 4 (Topk.View.view_count t);
-  for _ = 1 to 30 do
-    let w = Array.init 3 (fun _ -> Workload.Rng.uniform r) in
-    let k = 1 + Workload.Rng.int r 12 in
-    Alcotest.(check (list int))
-      "view = scan"
-      (Topk.Eval.top_k data ~weights:w ~k)
-      (Topk.View.top_k t ~weights:w ~k)
-  done
-
-let test_view_early_termination () =
-  let data = random_data 3000 3 in
-  let reference = [| 0.3; 0.4; 0.3 |] in
-  let t = Topk.View.build ~views:[ reference ] data in
-  (* A query identical to the view should stop almost immediately. *)
-  let result, scanned = Topk.View.top_k_stats t ~weights:reference ~k:5 in
-  Alcotest.(check int) "5 results" 5 (List.length result);
-  Alcotest.(check bool)
-    (Printf.sprintf "scanned %d of 3000" scanned)
-    true (scanned < 100)
-
-let test_view_far_query_still_exact () =
-  let data = random_data 500 2 in
-  let t = Topk.View.build ~views:[ [| 1.; 0. |] ] data in
-  let w = [| 0.; 1. |] in
-  (* Orthogonal query: poor pruning, but still exact. *)
-  Alcotest.(check (list int))
-    "orthogonal exact"
-    (Topk.Eval.top_k data ~weights:w ~k:7)
-    (Topk.View.top_k t ~weights:w ~k:7)
-
-let test_view_guards () =
-  Alcotest.(check bool)
-    "no views rejected" true
-    (try
-       ignore (Topk.View.build ~views:[] (random_data 5 2));
-       false
-     with Invalid_argument _ -> true)
-
 let suite =
   [
     Alcotest.test_case "onion 2d kind" `Quick test_onion_2d_is_hull_based;
@@ -127,8 +78,4 @@ let suite =
     Alcotest.test_case "onion top-k exact (4d)" `Quick test_onion_topk_matches_eval_4d;
     Alcotest.test_case "onion layers partition" `Quick test_onion_layers_partition;
     Alcotest.test_case "outer layer optimal" `Quick test_onion_outer_layer_optimal;
-    Alcotest.test_case "view top-k exact" `Quick test_view_topk_matches_eval;
-    Alcotest.test_case "view early termination" `Quick test_view_early_termination;
-    Alcotest.test_case "view orthogonal exact" `Quick test_view_far_query_still_exact;
-    Alcotest.test_case "view guards" `Quick test_view_guards;
   ]

@@ -243,6 +243,28 @@ let test_escape_pragma () =
   in
   Alcotest.check rules_t "pragma suppresses" [] (rules fs)
 
+let test_escape_marshal_fires () =
+  let fs =
+    lint_src
+      {|let read ic : int list = Marshal.from_channel ic
+let decode s : int list = Marshal.from_string s 0
+let encode (x : int list) = Marshal.to_string x []
+|}
+  in
+  Alcotest.check rules_t "Marshal.from_* flagged, Marshal.to_* not"
+    [ "forbidden-escape"; "forbidden-escape" ]
+    (rules fs)
+
+let test_escape_marshal_pragma () =
+  let fs =
+    lint_src
+      {|let read ic : int list =
+  (* iqlint: allow forbidden-escape — bytes written by this process *)
+  Marshal.from_channel ic
+|}
+  in
+  Alcotest.check rules_t "pragma suppresses" [] (rules fs)
+
 let test_assert_condition_clean () =
   let fs = lint_src {|let check x = assert (x > 0)
 |} in
@@ -2061,4 +2083,8 @@ let suite =
       test_pragma_above_multiline_attribute;
     Alcotest.test_case "pragma above attribute with trailing bracket" `Quick
       test_pragma_above_multiline_attribute_trailing_bracket;
+    Alcotest.test_case "forbidden-escape fires on Marshal.from_*" `Quick
+      test_escape_marshal_fires;
+    Alcotest.test_case "forbidden-escape Marshal pragma" `Quick
+      test_escape_marshal_pragma;
   ]

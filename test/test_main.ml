@@ -4,11 +4,9 @@ let () =
       ("geom.vec", Test_vec.suite);
       ("geom.hyperplane", Test_hyperplane.suite);
       ("geom.box", Test_box.suite);
-      ("geom.sweep", Test_sweep.suite);
       ("geom.chull", Test_chull.suite);
       ("rtree.heap", Test_heap.suite);
       ("rtree", Test_rtree.suite);
-      ("xtree", Test_xtree.suite);
       ("bloom", Test_bloom.suite);
       ("lp.simplex", Test_simplex.suite);
       ("lp.projection", Test_projection.suite);
