@@ -62,28 +62,21 @@ let in_session engine f =
   | Ok () -> ()
   | Error e -> failwith (Serve.Session.Error.to_string e)
 
-(* The resilience policy is resolved here, not left to Engine.create:
-   a malformed IQ_FAULT is a user config error (stderr + exit 2, like
-   a parse error), and an explicit --retries must override IQ_RETRIES
-   without silently dropping the IQ_FAULT schedule. *)
-let resilience_of_retries retries =
+(* The fault schedule is parsed here, not left to Engine.create: a
+   malformed IQ_FAULT is a user config error (stderr + exit 2, like a
+   parse error) rather than an engine error. *)
+let fault_of_env () =
   match Resilience.Fault.of_env () with
   | Error msg ->
       prerr_endline ("iq_tool: bad IQ_FAULT: " ^ msg);
       exit 2
-  | Ok fault ->
-      let base = { (Iq.Engine.default_resilience ()) with Iq.Engine.fault } in
-      Some
-        (match retries with
-        | None -> base
-        | Some r -> { base with Iq.Engine.retries = r })
+  | Ok fault -> fault
 
-let build_engine ~order ?retries data queries =
+let build_engine ~order data queries =
   let inst =
     Iq.Instance.create ~order:(order_of_name order) ~data ~queries ()
   in
-  let resilience = resilience_of_retries retries in
-  let engine = ok_or_die (Iq.Engine.create ?resilience inst) in
+  let engine = ok_or_die (Iq.Engine.create ?fault:(fault_of_env ()) inst) in
   (* Everything in this process serves off the one shared pool the
      engine borrowed from Parallel.default — creating another would
      oversubscribe the cores. *)
@@ -142,15 +135,6 @@ let deadline_arg =
           "Wall-clock deadline for the search; on expiry the best \
            strategy found so far is reported as a degraded partial \
            result. Overrides IQ_DEADLINE_MS.")
-
-let retries_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "retries" ] ~docv:"N"
-        ~doc:
-          "Retries per backend for transient (injected) faults before \
-           falling back down the backend chain. Overrides IQ_RETRIES.")
 
 let normalize_cap = function Some 0 -> None | c -> c
 
@@ -307,11 +291,11 @@ let print_partial = function
         (fun (t, s) -> print_strategy (Printf.sprintf "target %d: " t) s)
         p.Iq.Engine.p_strategies
 
-let run_mincost data_path queries_path targets tau cost_name order cap deadline
-    retries =
+let run_mincost data_path queries_path targets tau cost_name order cap
+    deadline =
   let _, data = load_objects data_path in
   let queries = load_queries queries_path in
-  let engine = build_engine ~order ?retries data queries in
+  let engine = build_engine ~order data queries in
   let d = Iq.Instance.dim (Iq.Engine.instance engine) in
   let cost = cost_of_name cost_name d in
   let cap = normalize_cap cap in
@@ -374,13 +358,13 @@ let mincost_cmd =
     (Cmd.info "mincost" ~doc:"Min-Cost Improvement Query (Algorithm 3)")
     Term.(
       const run_mincost $ data_arg $ queries_arg $ targets_arg $ tau $ cost_arg
-      $ order_arg $ cap_arg $ deadline_arg $ retries_arg)
+      $ order_arg $ cap_arg $ deadline_arg)
 
-let run_maxhit data_path queries_path targets beta cost_name order cap deadline
-    retries =
+let run_maxhit data_path queries_path targets beta cost_name order cap
+    deadline =
   let _, data = load_objects data_path in
   let queries = load_queries queries_path in
-  let engine = build_engine ~order ?retries data queries in
+  let engine = build_engine ~order data queries in
   let d = Iq.Instance.dim (Iq.Engine.instance engine) in
   let cost = cost_of_name cost_name d in
   let cap = normalize_cap cap in
@@ -438,7 +422,7 @@ let maxhit_cmd =
     (Cmd.info "maxhit" ~doc:"Max-Hit Improvement Query (Algorithm 4)")
     Term.(
       const run_maxhit $ data_arg $ queries_arg $ targets_arg $ beta $ cost_arg
-      $ order_arg $ cap_arg $ deadline_arg $ retries_arg)
+      $ order_arg $ cap_arg $ deadline_arg)
 
 (* --- exhaustive --------------------------------------------------------- *)
 

@@ -69,8 +69,6 @@ module Error = struct
     | Wal_corrupt { path; offset } ->
         Printf.sprintf "corrupt durable log %s at byte %d" path offset
     | Internal msg -> "internal error: " ^ msg
-
-  let pp ppf e = Format.pp_print_string ppf (to_string e)
 end
 
 let ( let* ) = Result.bind
@@ -127,27 +125,6 @@ let backend_of_name name =
   | "rta" | "rta-iq" -> Ok (module Rta_backend : BACKEND)
   | other -> Error (Error.Unknown_backend other)
 
-let default_backend () = backend_of_name (Workload.Config.backend ())
-
-(* {2 Resilience configuration} *)
-
-type resilience = {
-  retries : int;
-  backoff_ms : float;
-  circuit_threshold : int;
-  circuit_cooldown_ms : float;
-  fault : Resilience.Fault.t option;
-}
-
-let default_resilience () =
-  {
-    retries = Workload.Config.retries ();
-    backoff_ms = 1.;
-    circuit_threshold = 3;
-    circuit_cooldown_ms = 100.;
-    fault = None;
-  }
-
 (* {2 Durability hooks} *)
 
 (* The plain-data description of one successful mutation, exactly as
@@ -173,52 +150,6 @@ type journal = {
   j_every : int option;
 }
 
-(* The degradation order: every engine falls back ese -> rta -> scan
-   from its primary onwards (a custom primary falls back to the full
-   built-in chain). The last link is the ground-truth scan — slowest,
-   least machinery, most likely to survive. *)
-let builtin_chain = [ (module Ese_backend : BACKEND); (module Rta_backend); (module Scan_backend) ]
-
-let chain_of (module B : BACKEND) =
-  let rec after = function
-    | [] -> []
-    | (module C : BACKEND) :: rest ->
-        if String.equal C.name B.name then rest else after rest
-  in
-  let is_builtin =
-    List.exists (fun (module C : BACKEND) -> String.equal C.name B.name) builtin_chain
-  in
-  let tail = if is_builtin then after builtin_chain else builtin_chain in
-  Array.of_list ((module B : BACKEND) :: tail)
-
-(* Per-backend health accounting. Every field is an [Atomic] so the
-   counters can be bumped from any reader domain (prepares now run
-   under per-snapshot locks, not one engine lock) and read by [stats]
-   concurrently with a writer — no torn reads, no lock. The records
-   themselves are pre-created per chain link at engine construction,
-   so the table is never mutated after creation. [bs_open_until_ms]
-   is the circuit breaker: non-zero while the backend is skipped
-   outright; after the cooldown the next prepare half-opens it (one
-   trial attempt; failure re-opens, success closes). *)
-type bstat = {
-  bs_attempts : int Atomic.t;
-  bs_failures : int Atomic.t;
-  bs_retries : int Atomic.t;
-  bs_fallbacks : int Atomic.t;
-  bs_consecutive : int Atomic.t;
-  bs_open_until_ms : float Atomic.t;
-}
-
-let fresh_bstat () =
-  {
-    bs_attempts = Atomic.make 0;
-    bs_failures = Atomic.make 0;
-    bs_retries = Atomic.make 0;
-    bs_fallbacks = Atomic.make 0;
-    bs_consecutive = Atomic.make 0;
-    bs_open_until_ms = Atomic.make 0.;
-  }
-
 (* The MVCC core. [current] is the published snapshot: readers
    [Atomic.get] it (acquire) and then work against that immutable
    bundle for the whole call; the writer path builds the successor
@@ -236,8 +167,7 @@ let fresh_bstat () =
 type t = {
   pool : Parallel.pool;
   backend : backend;
-  chain : backend array;
-  res : resilience;
+  fault : Resilience.Fault.t option;
   prune : bool;
   current : Snapshot.t Atomic.t;
   wlock : Mutex.t;
@@ -246,15 +176,14 @@ type t = {
   pins : (int, int) Hashtbl.t;
   mutable retained : Snapshot.t list;
   keep : int;
-  bstats : (string, bstat) Hashtbl.t;
   last_dom : (int * int) option Atomic.t;
       (* (generation, layer_count) of the most recently built onion,
          for {!dominance_stats}: a stale pair after a mutation is the
          observable form of "rebuilt lazily on next prepare" *)
   repreps : int Atomic.t;
   retired_evals : int Atomic.t;
-      (* evaluation counts of retired snapshots and replaced cache
-         entries, so [stats] stays monotonic across generations *)
+      (* evaluation counts of retired snapshots, so [stats] stays
+         monotonic across generations *)
   deadline_trips : int Atomic.t;
   cancellations : int Atomic.t;
   (* admission control for serving sessions *)
@@ -280,100 +209,78 @@ let with_mutex m f =
   Mutex.lock m;
   Fun.protect ~finally:(fun () -> Mutex.unlock m) f
 
-let resolve_backend = function Some b -> Ok b | None -> default_backend ()
+let resolve_backend = function
+  | Some b -> Ok b
+  | None -> backend_of_name (Workload.Config.backend ())
 
-(* Without an explicit config the environment decides: IQ_RETRIES for
-   the retry count and IQ_FAULT for an injection schedule. A malformed
-   spec is a typed error — silently running without the faults a chaos
-   run asked for would invalidate the run. *)
-let resolve_resilience = function
-  | Some r -> Ok r
+(* Without an explicit schedule the environment decides: IQ_FAULT. A
+   malformed spec is a typed error — silently running without the
+   faults a chaos run asked for would invalidate the run. *)
+let resolve_fault = function
+  | Some _ as fault -> Ok fault
   | None -> (
       match Resilience.Fault.of_env () with
-      | Ok fault -> Ok { (default_resilience ()) with fault }
-      | Error msg -> (
-          match Workload.Config.fault () with
-          | Some spec -> Error (Error.Fault_spec { spec; msg })
-          | None -> Error (Error.Fault_spec { spec = ""; msg })))
+      | Ok fault -> Ok fault
+      | Error msg ->
+          let spec = Option.value ~default:"" (Workload.Config.fault ()) in
+          Error (Error.Fault_spec { spec; msg }))
 
-(* The per-link table is fixed at creation with an entry for every
-   chain link, so this lookup is a read of an immutable Hashtbl and
-   safe from any domain; the [None] arm is unreachable by construction
-   and yields a throwaway record rather than a raise. *)
-let bstat t name =
-  match Hashtbl.find_opt t.bstats name with
-  | Some st -> st
-  | None -> fresh_bstat ()
-
-let of_index ?backend ?resilience ?prune ?generation ?pool index =
-  guard @@ fun () ->
-  let* b = resolve_backend backend in
-  let* res = resolve_resilience resilience in
-  let pool = match pool with Some p -> p | None -> Parallel.default () in
+let assemble ~backend ~fault ?prune ?generation ~pool index =
   let prune =
     match prune with Some p -> p | None -> Workload.Config.prune ()
   in
-  let chain = chain_of b in
-  let bstats = Hashtbl.create 4 in
-  Array.iter
-    (fun (module B : BACKEND) ->
-      if not (Hashtbl.mem bstats B.name) then
-        Hashtbl.add bstats B.name (fresh_bstat ()))
-    chain;
-  Ok
-    {
-      pool;
-      backend = b;
-      chain;
-      res;
-      prune;
-      current = Atomic.make (Snapshot.root ?generation ~prune index);
-      wlock = Mutex.create ();
-      slock = Mutex.create ();
-      seen = Hashtbl.create 16;
-      pins = Hashtbl.create 8;
-      retained = [];
-      keep = Workload.Config.snapshot_keep ();
-      bstats;
-      last_dom = Atomic.make None;
-      repreps = Atomic.make 0;
-      retired_evals = Atomic.make 0;
-      deadline_trips = Atomic.make 0;
-      cancellations = Atomic.make 0;
-      alock = Mutex.create ();
-      adm_active = 0;
-      adm_waiting = 0;
-      adm_max = Workload.Config.max_sessions ();
-      rejections = Atomic.make 0;
-      journal = Atomic.make None;
-      wal_bytes = Atomic.make 0;
-      last_ckpt = Atomic.make (-1);
-      replayed = Atomic.make 0;
-      muts_since_ckpt = Atomic.make 0;
-    }
+  {
+    pool;
+    backend;
+    fault;
+    prune;
+    current = Atomic.make (Snapshot.root ?generation ~prune index);
+    wlock = Mutex.create ();
+    slock = Mutex.create ();
+    seen = Hashtbl.create 16;
+    pins = Hashtbl.create 8;
+    retained = [];
+    keep = Workload.Config.snapshot_keep ();
+    last_dom = Atomic.make None;
+    repreps = Atomic.make 0;
+    retired_evals = Atomic.make 0;
+    deadline_trips = Atomic.make 0;
+    cancellations = Atomic.make 0;
+    alock = Mutex.create ();
+    adm_active = 0;
+    adm_waiting = 0;
+    adm_max = Workload.Config.max_sessions ();
+    rejections = Atomic.make 0;
+    journal = Atomic.make None;
+    wal_bytes = Atomic.make 0;
+    last_ckpt = Atomic.make (-1);
+    replayed = Atomic.make 0;
+    muts_since_ckpt = Atomic.make 0;
+  }
 
-let create ?backend ?resilience ?prune ?generation ?depth_slack ?method_ ?pool
-    inst =
+let resolve_pool = function Some p -> p | None -> Parallel.default ()
+
+let of_index ?backend ?fault ?prune ?generation ?pool index =
   guard @@ fun () ->
-  let* b = resolve_backend backend in
-  let* res = resolve_resilience resilience in
-  let pool = match pool with Some p -> p | None -> Parallel.default () in
-  (* The index build consults its own fault site; transient injections
-     are retried like a backend's, anything else escapes to [guard]. *)
-  let rec build tries =
-    match
-      Resilience.Fault.point res.fault ~site:"index.build";
-      Query_index.build ?depth_slack ?method_ ~pool inst
-    with
-    | index -> index
-    | exception e when Resilience.Fault.transient_exn e && tries > 0 ->
-        build (tries - 1)
-  in
-  let index = build res.retries in
-  of_index ~backend:b ~resilience:res ?prune ?generation ~pool index
+  let* backend = resolve_backend backend in
+  let* fault = resolve_fault fault in
+  let pool = resolve_pool pool in
+  Ok (assemble ~backend ~fault ?prune ?generation ~pool index)
 
-let create_exn ?backend ?resilience ?prune ?depth_slack ?method_ ?pool inst =
-  match create ?backend ?resilience ?prune ?depth_slack ?method_ ?pool inst with
+(* The index build consults its own fault site; an injection escapes
+   to [guard] like any other build failure. *)
+let create ?backend ?fault ?prune ?generation ?depth_slack ?method_ ?pool inst
+    =
+  guard @@ fun () ->
+  let* backend = resolve_backend backend in
+  let* fault = resolve_fault fault in
+  let pool = resolve_pool pool in
+  Resilience.Fault.point fault ~site:"index.build";
+  let index = Query_index.build ?depth_slack ?method_ ~pool inst in
+  Ok (assemble ~backend ~fault ?prune ?generation ~pool index)
+
+let create_exn ?backend ?fault ?prune ?depth_slack ?method_ ?pool inst =
+  match create ?backend ?fault ?prune ?depth_slack ?method_ ?pool inst with
   | Ok t -> t
   | Error e -> invalid_arg ("Engine.create: " ^ Error.to_string e)
 
@@ -433,97 +340,20 @@ let check_object snap raw =
   let utility = (Snapshot.instance snap).Instance.utility in
   check_finite "object feature" (utility.Topk.Utility.features raw)
 
-(* {2 Evaluator cache and failover} *)
+(* {2 Evaluator cache} *)
 
-let sleep_ms ms = if ms > 0. then Unix.sleepf (ms /. 1000.)
-
-(* Instrument an evaluator's hit_count with the backend's eval fault
-   site. Only when a schedule is loaded — the clean path keeps the
-   original closure untouched. *)
-let wrap_eval t bname (eval : Evaluator.t) =
-  match t.res.fault with
-  | None -> eval
-  | Some _ ->
-      let site = "backend." ^ bname ^ ".eval" in
-      {
-        eval with
-        Evaluator.hit_count =
-          (fun s ->
-            Resilience.Fault.point t.res.fault ~site;
-            eval.Evaluator.hit_count s);
-      }
-
-(* Prepare [target] against [snap] starting at chain link [from_pos];
-   the snapshot's cache lock is held. Circuit-open backends are
-   skipped outright; an injected transient retries the same backend
-   with doubling backoff; a persistent injection marks the failure and
-   falls through to the next link. Only {!Resilience.Fault.Injected}
-   drives failover — any other exception is a genuine bug and
-   propagates to [guard]. *)
-let prepare_in t snap ~target ~from_pos =
-  let n = Array.length t.chain in
-  let rec try_pos pos last =
-    if pos >= n then
-      match last with
-      | Some e -> raise e
-      | None -> invalid_arg "Engine: empty backend chain"
-    else
-      let (module B : BACKEND) = t.chain.(pos) in
-      let st = bstat t B.name in
-      if Atomic.get st.bs_open_until_ms > Resilience.now_ms () then begin
-        Atomic.incr st.bs_fallbacks;
-        try_pos (pos + 1) last
-      end
-      else
-        let site = "backend." ^ B.name ^ ".prepare" in
-        let rec attempt tries_left =
-          Atomic.incr st.bs_attempts;
-          match
-            Resilience.Fault.point t.res.fault ~site;
-            B.prepare ~layers:(Snapshot.layers snap)
-              ~index:(Snapshot.index snap) ~pool:t.pool ~target
-          with
-          | eval, state ->
-              Atomic.set st.bs_consecutive 0;
-              Atomic.set st.bs_open_until_ms 0.;
-              (pos, B.name, eval, state)
-          | exception Resilience.Fault.Injected { transient = true; _ }
-            when tries_left > 0 ->
-              Atomic.incr st.bs_retries;
-              sleep_ms
-                (t.res.backoff_ms
-                *. (2. ** float_of_int (t.res.retries - tries_left)));
-              attempt (tries_left - 1)
-          | exception (Resilience.Fault.Injected _ as e) ->
-              Atomic.incr st.bs_failures;
-              Atomic.incr st.bs_consecutive;
-              if Atomic.get st.bs_consecutive >= t.res.circuit_threshold then
-                Atomic.set st.bs_open_until_ms
-                  (Resilience.now_ms () +. t.res.circuit_cooldown_ms);
-              Atomic.incr st.bs_fallbacks;
-              try_pos (pos + 1) (Some e)
-        in
-        attempt t.res.retries
+(* Prepare [target] against [snap] and cache the entry; the snapshot's
+   cache lock is held. The backend's prepare fault site is consulted
+   first: an injection, like any exception a backend raises,
+   propagates to [guard] and leaves nothing cached. *)
+let prepare_in t snap ~target =
+  let (module B : BACKEND) = t.backend in
+  Resilience.Fault.point t.fault ~site:("backend." ^ B.name ^ ".prepare");
+  let eval, state =
+    B.prepare ~layers:(Snapshot.layers snap) ~index:(Snapshot.index snap)
+      ~pool:t.pool ~target
   in
-  let pos, bname, eval, state = try_pos from_pos None in
-  let e =
-    {
-      Snapshot.e_eval = wrap_eval t bname eval;
-      e_state = state;
-      e_pos = pos;
-      e_bname = bname;
-    }
-  in
-  (* A same-snapshot replacement (failover past a poisoned entry)
-     retires the old entry's evaluation count so [stats] stays
-     monotonic. Entries of retired snapshots were already folded in
-     when the writer published their successor. *)
-  (match Snapshot.find_entry snap target with
-  | Some old when snap == Atomic.get t.current ->
-      ignore
-        (Atomic.fetch_and_add t.retired_evals
-           (old.Snapshot.e_eval.Evaluator.evaluations ()))
-  | Some _ | None -> ());
+  let e = { Snapshot.e_eval = eval; e_state = state } in
   Snapshot.set_entry snap target e;
   let gen = Snapshot.generation snap in
   with_mutex t.slock (fun () ->
@@ -539,52 +369,15 @@ let prepare_in t snap ~target ~from_pos =
   | None -> ());
   e
 
-(* Cache lookup honouring a minimum chain position: a search that just
-   watched chain link [e_pos] fail asks for [min_pos = e_pos + 1] so
-   the retry skips the poisoned entry. Generation staleness needs no
-   check here — an entry lives in exactly one snapshot. *)
-let entry_in t snap ~target ~min_pos =
-  match Snapshot.find_entry snap target with
-  | Some e when e.Snapshot.e_pos >= min_pos -> e
-  | Some _ | None -> prepare_in t snap ~target ~from_pos:min_pos
-
+(* The target's cached entry, prepared on first use. Generation
+   staleness needs no check here — an entry lives in exactly one
+   snapshot. *)
 let entry ?snap t ~target =
   let snap = resolve_snap t snap in
-  Snapshot.locked snap (fun () -> entry_in t snap ~target ~min_pos:0)
-
-(* Run [f] over the target's cached entry, treating injected eval
-   faults like prepare faults: transients retry the same backend with
-   backoff; persistent injections advance down the chain (the cache
-   entry is replaced, so later calls start from the healthy backend).
-   Each retry restarts [f] from scratch — searches are pure over the
-   evaluator, so the restart is safe, merely slower. The whole call
-   runs against one snapshot: a mutation landing mid-search never
-   forces a re-prepare. *)
-let with_failover ?snap t ~target f =
-  let snap = resolve_snap t snap in
-  let n = Array.length t.chain in
-  let rec go ~min_pos tries_left =
-    let e = Snapshot.locked snap (fun () -> entry_in t snap ~target ~min_pos) in
-    match f e with
-    | r -> r
-    | exception Resilience.Fault.Injected { transient = true; _ }
-      when tries_left > 0 ->
-        Atomic.incr (bstat t e.Snapshot.e_bname).bs_retries;
-        sleep_ms
-          (t.res.backoff_ms *. (2. ** float_of_int (t.res.retries - tries_left)));
-        go ~min_pos (tries_left - 1)
-    | exception (Resilience.Fault.Injected _ as ex) ->
-        let st = bstat t e.Snapshot.e_bname in
-        Atomic.incr st.bs_failures;
-        Atomic.incr st.bs_consecutive;
-        if Atomic.get st.bs_consecutive >= t.res.circuit_threshold then
-          Atomic.set st.bs_open_until_ms
-            (Resilience.now_ms () +. t.res.circuit_cooldown_ms);
-        Atomic.incr st.bs_fallbacks;
-        if e.Snapshot.e_pos + 1 >= n then raise ex
-        else go ~min_pos:(e.Snapshot.e_pos + 1) t.res.retries
-  in
-  go ~min_pos:0 t.res.retries
+  Snapshot.locked snap (fun () ->
+      match Snapshot.find_entry snap target with
+      | Some e -> e
+      | None -> prepare_in t snap ~target)
 
 let evaluator ?snap t ~target =
   guard @@ fun () ->
@@ -701,31 +494,30 @@ let min_cost ?limits ?max_iterations ?candidate_cap ?deadline_ms ?budget ?snap
       ~got:cost.Cost.dim
   in
   let budget = resolve_budget ?deadline_ms ?budget () in
-  with_failover ~snap t ~target (fun e ->
-      let before = e.Snapshot.e_eval.Evaluator.evaluations () in
-      match
-        Min_cost.search ?limits ?max_iterations ?candidate_cap ~pool:t.pool
-          ~budget ?fault:t.res.fault ~evaluator:e.Snapshot.e_eval ~cost ~target
-          ~tau ()
-      with
-      | None -> Error Error.Infeasible
-      | Some o -> (
-          (* The cached evaluator accumulates across calls; report only
-             this call's work, as a fresh evaluator would. *)
-          let o =
-            { o with Min_cost.evaluations = o.Min_cost.evaluations - before }
-          in
-          match o.Min_cost.status with
-          | `Complete -> Ok o
-          | `Degraded trip ->
-              degraded_error t budget trip
-                {
-                  p_strategies = [ (target, o.Min_cost.strategy) ];
-                  p_hits = o.Min_cost.hits_after;
-                  p_total_cost = o.Min_cost.total_cost;
-                  p_iterations = o.Min_cost.iterations;
-                  p_flag = `Degraded;
-                }))
+  let e = entry ~snap t ~target in
+  let before = e.Snapshot.e_eval.Evaluator.evaluations () in
+  match
+    Min_cost.search ?limits ?max_iterations ?candidate_cap ~pool:t.pool ~budget
+      ?fault:t.fault ~evaluator:e.Snapshot.e_eval ~cost ~target ~tau ()
+  with
+  | None -> Error Error.Infeasible
+  | Some o -> (
+      (* The cached evaluator accumulates across calls; report only
+         this call's work, as a fresh evaluator would. *)
+      let o =
+        { o with Min_cost.evaluations = o.Min_cost.evaluations - before }
+      in
+      match o.Min_cost.status with
+      | `Complete -> Ok o
+      | `Degraded trip ->
+          degraded_error t budget trip
+            {
+              p_strategies = [ (target, o.Min_cost.strategy) ];
+              p_hits = o.Min_cost.hits_after;
+              p_total_cost = o.Min_cost.total_cost;
+              p_iterations = o.Min_cost.iterations;
+              p_flag = `Degraded;
+            })
 
 let max_hit ?limits ?max_iterations ?candidate_cap ?deadline_ms ?budget ?snap t
     ~cost ~target ~beta =
@@ -739,27 +531,25 @@ let max_hit ?limits ?max_iterations ?candidate_cap ?deadline_ms ?budget ?snap t
         ~got:cost.Cost.dim
     in
     let budget = resolve_budget ?deadline_ms ?budget () in
-    with_failover ~snap t ~target (fun e ->
-        let before = e.Snapshot.e_eval.Evaluator.evaluations () in
-        let o =
-          Max_hit.search ?limits ?max_iterations ?candidate_cap ~pool:t.pool
-            ~budget ?fault:t.res.fault ~evaluator:e.Snapshot.e_eval ~cost
-            ~target ~beta ()
-        in
-        let o =
-          { o with Max_hit.evaluations = o.Max_hit.evaluations - before }
-        in
-        match o.Max_hit.status with
-        | `Complete -> Ok o
-        | `Degraded trip ->
-            degraded_error t budget trip
-              {
-                p_strategies = [ (target, o.Max_hit.strategy) ];
-                p_hits = o.Max_hit.hits_after;
-                p_total_cost = o.Max_hit.total_cost;
-                p_iterations = o.Max_hit.iterations;
-                p_flag = `Degraded;
-              })
+    let e = entry ~snap t ~target in
+    let before = e.Snapshot.e_eval.Evaluator.evaluations () in
+    let o =
+      Max_hit.search ?limits ?max_iterations ?candidate_cap ~pool:t.pool
+        ~budget ?fault:t.fault ~evaluator:e.Snapshot.e_eval ~cost ~target ~beta
+        ()
+    in
+    let o = { o with Max_hit.evaluations = o.Max_hit.evaluations - before } in
+    match o.Max_hit.status with
+    | `Complete -> Ok o
+    | `Degraded trip ->
+        degraded_error t budget trip
+          {
+            p_strategies = [ (target, o.Max_hit.strategy) ];
+            p_hits = o.Max_hit.hits_after;
+            p_total_cost = o.Max_hit.total_cost;
+            p_iterations = o.Max_hit.iterations;
+            p_flag = `Degraded;
+          }
 
 let check_costs snap costs =
   if costs = [] then Error Error.Empty_targets
@@ -790,9 +580,8 @@ let multi_partial o =
   }
 
 (* The multi-target searches thread budget and faults through
-   {!Combinatorial} but have no per-eval failover: their candidate
-   scan runs on ESE states directly, not through a backend evaluator,
-   so an injected fault there surfaces via [guard] as [Internal]. *)
+   {!Combinatorial}; an injected fault surfaces via [guard] as
+   [Internal], as it does in the single-target searches. *)
 let min_cost_multi ?limits ?max_iterations ?candidate_cap ?deadline_ms ?budget
     ?snap t ~costs ~tau =
   guard @@ fun () ->
@@ -802,7 +591,7 @@ let min_cost_multi ?limits ?max_iterations ?candidate_cap ?deadline_ms ?budget
   let states = cached_states t snap costs in
   match
     Combinatorial.min_cost ?limits ?max_iterations ?candidate_cap ~states
-      ~budget ?fault:t.res.fault ~index:(Snapshot.index snap) ~costs ~tau ()
+      ~budget ?fault:t.fault ~index:(Snapshot.index snap) ~costs ~tau ()
   with
   | None -> Error Error.Infeasible
   | Some o -> (
@@ -821,7 +610,7 @@ let max_hit_multi ?limits ?max_iterations ?candidate_cap ?deadline_ms ?budget
     let states = cached_states t snap costs in
     let o =
       Combinatorial.max_hit ?limits ?max_iterations ?candidate_cap ~states
-        ~budget ?fault:t.res.fault ~index:(Snapshot.index snap) ~costs ~beta ()
+        ~budget ?fault:t.fault ~index:(Snapshot.index snap) ~costs ~beta ()
     in
     match o.Combinatorial.status with
     | `Complete -> Ok o
@@ -1050,15 +839,6 @@ let repin t snap =
 
 (* {2 Stats} *)
 
-type backend_stats = {
-  b_name : string;
-  b_attempts : int;
-  b_failures : int;
-  b_retries : int;
-  b_fallbacks : int;
-  b_circuit_open : bool;
-}
-
 type stats = {
   generation : int;
   backend : string;
@@ -1072,7 +852,6 @@ type stats = {
   stale_cached : int;
   repreparations : int;
   evaluations : int;
-  backends : backend_stats list;
   deadline_trips : int;
   cancellations : int;
   faults_injected : int;
@@ -1110,24 +889,6 @@ let stats t =
   let active, waiting =
     with_mutex t.alock (fun () -> (t.adm_active, t.adm_waiting))
   in
-  let backends =
-    Array.to_list t.chain
-    |> List.filter_map (fun (module B : BACKEND) ->
-           let st = bstat t B.name in
-           if Atomic.get st.bs_attempts = 0 && Atomic.get st.bs_fallbacks = 0
-           then None
-           else
-             Some
-               {
-                 b_name = B.name;
-                 b_attempts = Atomic.get st.bs_attempts;
-                 b_failures = Atomic.get st.bs_failures;
-                 b_retries = Atomic.get st.bs_retries;
-                 b_fallbacks = Atomic.get st.bs_fallbacks;
-                 b_circuit_open =
-                   Atomic.get st.bs_open_until_ms > Resilience.now_ms ();
-               })
-  in
   {
     generation = gen;
     backend = backend_name t;
@@ -1141,11 +902,10 @@ let stats t =
     stale_cached = stale;
     repreparations = Atomic.get t.repreps;
     evaluations = Atomic.get t.retired_evals + live_evals;
-    backends;
     deadline_trips = Atomic.get t.deadline_trips;
     cancellations = Atomic.get t.cancellations;
     faults_injected =
-      (match t.res.fault with
+      (match t.fault with
       | None -> 0
       | Some f -> Resilience.Fault.injections f);
     active_sessions = active;

@@ -37,18 +37,19 @@
     Efficient-IQ's subdomain index ({!Ese_backend}, the default), a
     full rescan ({!Scan_backend}) and reverse-top-k ({!Rta_backend}).
     [IQ_BACKEND] selects one at {!create} time (see
-    [Workload.Config.backend]).
+    [Workload.Config.backend]). An engine serves through its one
+    backend; the scan backend is the ground-truth oracle the others
+    are tested against.
 
     {b Resilience.} Every improvement query accepts an optional
     deadline or {!Resilience.Budget}; a tripped budget returns the
     best strategies from fully completed iterations as a typed
     [Deadline_exceeded]/[Cancelled] error carrying a {!partial} —
     anytime semantics, exact but possibly under-achieved, never
-    silently wrong. Backends form a degradation chain
-    (ese → rta → scan): injected faults ({!Resilience.Fault}, loaded
-    from [IQ_FAULT]) are retried with backoff when transient and
-    failed over down the chain when persistent, with a per-backend
-    circuit breaker; the accounting lands in {!stats}. *)
+    silently wrong. A {!Resilience.Fault} schedule (loaded from
+    [IQ_FAULT]) injects failures at named sites for chaos testing; an
+    injected failure surfaces exactly like a genuine backend bug, as
+    [Error (Internal _)], and leaves no cached evaluator behind. *)
 
 open Geom
 
@@ -110,8 +111,6 @@ module Error : sig
             than leak raw exceptions across the serving boundary. *)
 
   val to_string : t -> string
-
-  val pp : Format.formatter -> t -> unit
 end
 
 (** An evaluation backend. [prepare] builds the per-target evaluator
@@ -146,36 +145,11 @@ val backend_of_name : string -> (backend, Error.t) result
 (** ["ese"]/["efficient-iq"], ["scan"]/["naive"], ["rta"]/["rta-iq"]
     (case-insensitive); anything else is [Unknown_backend]. *)
 
-val default_backend : unit -> (backend, Error.t) result
-(** [backend_of_name (Workload.Config.backend ())] — the [IQ_BACKEND]
-    environment knob. *)
-
-type resilience = {
-  retries : int;
-      (** bounded retries per backend for {e transient} injected
-          faults (default [Workload.Config.retries ()], i.e.
-          [IQ_RETRIES] or 2) *)
-  backoff_ms : float;
-      (** initial retry backoff, doubling per attempt (default 1ms) *)
-  circuit_threshold : int;
-      (** consecutive failures before a backend's circuit opens
-          (default 3) *)
-  circuit_cooldown_ms : float;
-      (** how long an open circuit skips its backend before the next
-          prepare half-opens it with one trial (default 100ms) *)
-  fault : Resilience.Fault.t option;
-      (** the injection schedule; [None] disables all fault sites *)
-}
-(** Failure-handling policy. {!create} without [?resilience] uses
-    {!default_resilience} with the schedule parsed from [IQ_FAULT]. *)
-
-val default_resilience : unit -> resilience
-
 type t
 
 val create :
   ?backend:backend ->
-  ?resilience:resilience ->
+  ?fault:Resilience.Fault.t ->
   ?prune:bool ->
   ?generation:int ->
   ?depth_slack:int ->
@@ -189,17 +163,18 @@ val create :
     recovery resumes the crashed engine's count; see
     [Durable.Recovery]). Without [?backend] the [IQ_BACKEND]
     environment selects one; [Error (Unknown_backend _)] when it names
-    nothing. Without [?resilience], [IQ_FAULT]/[IQ_RETRIES] configure
-    the policy; a malformed [IQ_FAULT] is [Error (Fault_spec _)]. The
-    index build consults the [index.build] fault site (transient
-    injections retry like a backend's). [prune] (default
+    nothing. [?fault] is the injection schedule every fault site of
+    this engine consults; without it the schedule is parsed from
+    [IQ_FAULT] (none when unset), and a malformed [IQ_FAULT] is
+    [Error (Fault_spec _)]. The index build consults the [index.build]
+    fault site; an injection there is [Error (Internal _)]. [prune] (default
     [Workload.Config.prune ()], the [IQ_PRUNE] knob) enables
     dominance-layer rival pruning on the ESE hot path — results are
     identical either way; see {!Ese.prepare}. *)
 
 val of_index :
   ?backend:backend ->
-  ?resilience:resilience ->
+  ?fault:Resilience.Fault.t ->
   ?prune:bool ->
   ?generation:int ->
   ?pool:Parallel.pool ->
@@ -212,7 +187,7 @@ val of_index :
 
 val create_exn :
   ?backend:backend ->
-  ?resilience:resilience ->
+  ?fault:Resilience.Fault.t ->
   ?prune:bool ->
   ?depth_slack:int ->
   ?method_:Query_index.build_method ->
@@ -259,17 +234,6 @@ val dominance_stats : t -> (int * int) option
     the live snapshot has not built its onion yet and will on the next
     prepare — exposed so tests can observe the invalidation protocol. *)
 
-type backend_stats = {
-  b_name : string;
-  b_attempts : int;  (** prepare attempts, including retries *)
-  b_failures : int;  (** persistent injected failures *)
-  b_retries : int;  (** transient-fault retries (prepare and eval) *)
-  b_fallbacks : int;  (** times the chain moved past this backend *)
-  b_circuit_open : bool;  (** currently skipped by the breaker *)
-}
-(** Per-backend health, reported for every chain link consulted at
-    least once. *)
-
 type stats = {
   generation : int;
   backend : string;
@@ -283,7 +247,6 @@ type stats = {
   stale_cached : int;  (** of those, last prepared at an older generation *)
   repreparations : int;  (** evaluators rebuilt after mutations *)
   evaluations : int;  (** candidate evaluations served, process total *)
-  backends : backend_stats list;  (** in chain order *)
   deadline_trips : int;  (** searches ended by deadline/step budget *)
   cancellations : int;  (** searches ended by a cancelled token *)
   faults_injected : int;  (** total injections from the loaded schedule *)
@@ -317,7 +280,9 @@ val stats : t -> stats
 val evaluator : ?snap:Snapshot.t -> t -> target:int -> (Evaluator.t, Error.t) result
 (** The snapshot's cached evaluator for a target — prepared on first
     use, re-prepared transparently on the first touch of a new
-    generation. *)
+    generation. A prepare that fails (an injected
+    [backend.<name>.prepare] fault included) is [Error (Internal _)]
+    and caches nothing, so the next call prepares afresh. *)
 
 val hits : ?snap:Snapshot.t -> t -> target:int -> (int, Error.t) result
 (** [H(p_target)]: how many workload queries the target hits now. *)
@@ -415,10 +380,9 @@ val min_cost_multi :
   (Combinatorial.outcome, Error.t) result
 (** Section 5.1 multi-target Min-Cost. Cached ESE states are passed
     through, so repeated combinatorial queries over the same targets
-    prepare each state once. The multi-target candidate scan runs on
-    ESE states directly (not through a backend evaluator), so there is
-    no per-eval failover here: an injected fault inside the scan
-    surfaces as [Error (Internal _)]. *)
+    prepare each state once. An injected fault inside the search
+    surfaces as [Error (Internal _)], as in the single-target
+    searches. *)
 
 val max_hit_multi :
   ?limits:(int * Strategy.limits) list ->

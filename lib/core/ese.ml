@@ -156,7 +156,6 @@ let prepare ?layers index ~target =
     eval_count = Atomic.make 0;
   }
 
-let target t = t.target
 let base_hits t = t.base
 let member t ~q = t.members.(q)
 let pruned t = match t.mode with Full -> false | Kth _ -> true

@@ -27,8 +27,6 @@ val prepare : ?layers:(int -> int) -> Query_index.t -> target:int -> state
     [Desc]-order instance, whose weights are negated) silently falls
     back to the unpruned path. *)
 
-val target : state -> int
-
 val base_hits : state -> int
 (** [H(p_i)] before any improvement. *)
 

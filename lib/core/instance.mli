@@ -51,9 +51,6 @@ val max_k : t -> int
 val score : t -> q:int -> int -> float
 (** Score of object [id] under query [q] (minimizing convention). *)
 
-val score_vec : t -> q:int -> Vec.t -> float
-(** Score of an arbitrary feature vector under query [q]. *)
-
 val improved : t -> target:int -> s:Strategy.t -> Vec.t
 (** The target's feature vector after applying a feature-space
     strategy. *)

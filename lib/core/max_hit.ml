@@ -119,7 +119,3 @@ let search ?limits ?max_iterations ?candidate_cap ?pool ?budget ?fault
       | Some trip -> `Degraded trip
       | None -> `Complete);
   }
-
-let per_hit_cost o =
-  if o.hits_after <= 0 then infinity
-  else o.total_cost /. float_of_int o.hits_after

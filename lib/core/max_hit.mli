@@ -46,5 +46,3 @@ val search :
     [status = `Degraded _].
     @raise Invalid_argument when the cost arity differs from the
     instance's feature dimension (a wiring bug, not an input error). *)
-
-val per_hit_cost : outcome -> float

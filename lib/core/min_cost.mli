@@ -57,7 +57,7 @@ val search :
     is discarded whole, so the partial strategy's hit count is exact.
     [fault] consults the [search.iteration] site each iteration and
     threads into {!Candidates.collect}; injected exceptions escape to
-    the caller ({!Engine} converts them to retries/fallbacks).
+    the caller ({!Engine} reports them as [Error (Internal _)]).
     @raise Invalid_argument when the cost arity differs from the
     instance's feature dimension (a wiring bug, not an input error). *)
 

@@ -1,8 +1,6 @@
 type entry = {
   e_eval : Evaluator.t;
   e_state : Ese.state option;
-  e_pos : int;
-  e_bname : string;
 }
 
 type t = {

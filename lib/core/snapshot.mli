@@ -17,20 +17,15 @@
     late never changes an answer, only its cost. Both are guarded by
     the snapshot's own lock; the engine is the only caller of the
     [locked]/[find_entry]/[set_entry]/[layers] group below, which
-    exists so the prepare machinery (backend chains, failover,
+    exists so the prepare path (backend selection, fault site,
     accounting) can stay in [Engine] without re-exposing the cache as
     public mutable state. *)
 
 (** A cached per-target evaluator. Unlike the pre-MVCC engine cache
     there is no generation stamp: an entry lives in exactly one
-    snapshot and is valid for that snapshot's whole lifetime. [e_pos]
-    records which link of the backend fallback chain served it. *)
-type entry = {
-  e_eval : Evaluator.t;
-  e_state : Ese.state option;
-  e_pos : int;
-  e_bname : string;
-}
+    snapshot and is valid for that snapshot's whole lifetime; a failed
+    prepare caches nothing. *)
+type entry = { e_eval : Evaluator.t; e_state : Ese.state option }
 
 type t
 

@@ -61,5 +61,3 @@ let is_valid limits ~p s =
 
 let apply p s = Vec.add p s
 let zero d = Vec.zero d
-let combine = Vec.add
-let pp = Vec.pp

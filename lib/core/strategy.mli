@@ -41,9 +41,3 @@ val apply : Vec.t -> t -> Vec.t
 (** [apply p s = p + s] (the improved object [p']). *)
 
 val zero : int -> t
-
-val combine : t -> t -> t
-(** Compose two strategies ([s1 + s2]); Algorithms 3/4 accumulate the
-    per-iteration steps this way. *)
-
-val pp : Format.formatter -> t -> unit

@@ -1,7 +1,8 @@
 (* Atomic snapshot persistence: a plain-data image of the engine's
-   current generation, written tmp+fsync+rename so a reader never
-   observes a half-written checkpoint — after any crash the file is
-   either the old complete checkpoint or the new complete one. *)
+   current generation, written tmp+fsync+rename+directory fsync so a
+   reader never observes a half-written checkpoint — after any crash
+   the file is either the old complete checkpoint or the new complete
+   one, and once [write] returns the rename itself is durable. *)
 
 type t = {
   c_generation : int;
@@ -65,6 +66,10 @@ let marshal c =
   Buffer.add_string b (Marshal.to_string c []);
   Buffer.contents b
 
+let fsync_dir dir =
+  let fd = Unix.openfile dir [ Unix.O_RDONLY ] 0 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) (fun () -> Unix.fsync fd)
+
 let write ?fault path c =
   let bytes = marshal c in
   let tmp = path ^ ".tmp" in
@@ -96,6 +101,12 @@ let write ?fault path c =
      the crash window where the old checkpoint must still win. *)
   Resilience.Fault.point fault ~site:"checkpoint.rename";
   Sys.rename tmp path;
+  (* A rename is directory metadata: until the directory is fsynced a
+     power loss can undo it while a later log truncation survives,
+     losing acknowledged mutations. [checkpoint.dirsync] fires with
+     the new checkpoint published but its rename not yet durable. *)
+  Resilience.Fault.point fault ~site:"checkpoint.dirsync";
+  fsync_dir (Filename.dirname path);
   String.length bytes
 
 let read path =

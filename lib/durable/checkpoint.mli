@@ -38,11 +38,14 @@ val depth_slack : t -> Iq.Instance.t -> int
     matches the checkpointed engine's. *)
 
 val write : ?fault:Resilience.Fault.t -> string -> t -> int
-(** Persist atomically to a path; returns bytes written. Consults
-    [checkpoint.write] (before the tmp exists; torn rules spill a
-    partial tmp) and [checkpoint.rename] (tmp complete, unpublished).
-    Raises on injected crashes — the engine surfaces that as a typed
-    error and the on-disk state stays recoverable either way. *)
+(** Persist atomically to a path and fsync its directory, so the
+    rename is durable before the caller truncates the log; returns
+    bytes written. Consults [checkpoint.write] (before the tmp exists;
+    torn rules spill a partial tmp), [checkpoint.rename] (tmp
+    complete, unpublished) and [checkpoint.dirsync] (renamed, the
+    directory not yet fsynced). Raises on injected crashes — the
+    engine surfaces that as a typed error and the on-disk state stays
+    recoverable either way. *)
 
 val read : string -> (t, string) result
 (** Load a checkpoint; [Error] on a missing file, bad magic or a

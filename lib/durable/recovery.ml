@@ -27,7 +27,7 @@ let pp_report ppf r =
     | None -> ""
     | Some e -> "; " ^ Iq.Engine.Error.to_string e)
 
-let replay ?backend ?resilience ?prune ?pool dir =
+let replay ?backend ?fault ?prune ?pool dir =
   let ( let* ) = Result.bind in
   let* ckpt =
     match Checkpoint.read (Checkpoint.path_in dir) with
@@ -43,7 +43,7 @@ let replay ?backend ?resilience ?prune ?pool dir =
   let inst = Checkpoint.instance ckpt in
   let ckpt_gen = Checkpoint.generation ckpt in
   let* engine =
-    Iq.Engine.create ?backend ?resilience ?prune ~generation:ckpt_gen
+    Iq.Engine.create ?backend ?fault ?prune ~generation:ckpt_gen
       ~depth_slack:(Checkpoint.depth_slack ckpt inst)
       ?pool inst
   in

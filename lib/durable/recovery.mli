@@ -33,7 +33,7 @@ val pp_report : Format.formatter -> report -> unit
 
 val replay :
   ?backend:Iq.Engine.backend ->
-  ?resilience:Iq.Engine.resilience ->
+  ?fault:Resilience.Fault.t ->
   ?prune:bool ->
   ?pool:Parallel.pool ->
   string ->

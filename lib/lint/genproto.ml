@@ -207,7 +207,7 @@ let analyze_file ~resolve ~(cg : Callgraph.t) (file : Project.file) str gate =
       else st
     in
     (* A closure handed to a same-file wrapper that checks on every
-       path ([with_failover t (fun e -> … e.c_eval …)]) runs after the
+       path ([with_entry t (fun e -> … e.c_eval …)]) runs after the
        wrapper's stamp check, even though inlining executes it at the
        call site — pre-establish the check for its body. *)
     let on_closure_arg st lid =

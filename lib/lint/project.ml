@@ -133,15 +133,15 @@ let atoms l =
 
 let dir_info dir =
   let dune = Filename.concat dir "dune" in
-  let fallback =
+  let default_info =
     let base = Filename.basename dir in
     let base = if base = "" || base = "." || base = "/" then "adhoc" else base in
     { di_lib = base; di_wrapper = None; di_is_library = false; di_deps = None }
   in
-  if not (Sys.file_exists dune) then fallback
+  if not (Sys.file_exists dune) then default_info
   else
     match parse_sexps (read_file dune) with
-    | exception Sys_error _ -> fallback
+    | exception Sys_error _ -> default_info
     | stanzas -> (
         let libraries_of fields =
           List.concat_map
@@ -171,7 +171,7 @@ let dir_info dir =
                   | _ -> false)
                 fields
             in
-            let name = Option.value name ~default:fallback.di_lib in
+            let name = Option.value name ~default:default_info.di_lib in
             {
               di_lib = name;
               di_wrapper =
@@ -190,7 +190,7 @@ let dir_info dir =
                   | _ -> [])
                 stanzas
             in
-            { fallback with di_deps = Some deps })
+            { default_info with di_deps = Some deps })
 
 (* ---------------------- loading ----------------------------------- *)
 

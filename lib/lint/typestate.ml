@@ -63,7 +63,7 @@ type 'st hooks = {
       (** Called just before a literal [fun]/[function] argument of an
           application of [lid] is inlined. Closure inlining runs the
           body "at the call site", which is too early for
-          callback-style wrappers ([with_failover t (fun e -> …)])
+          callback-style wrappers ([with_entry t (fun e -> …)])
           whose precondition is established *inside* the callee before
           the callback runs; a client can use the head's summary to
           pre-establish that state here. *)
@@ -179,7 +179,7 @@ let rec exec h st e =
             h.on_bind st (Ast_util.pattern_vars op.pbop_pat) None)
           st (let_ :: ands)
       in
-      (* [let*] short-circuits: the result is reachable both through
+      (* [let*] can stop at the bind: the result is reachable both through
          the body and straight from the bind. *)
       h.join st (exec h st body)
   | Pexp_letmodule (_, _, body) | Pexp_open (_, body) | Pexp_lazy body ->

@@ -26,13 +26,13 @@ let cores = Domain.recommended_domain_count ()
 let inside_pool = Domain.DLS.new_key (fun () -> false)
 
 let default_domains () =
-  let fallback = Int.max 1 (Domain.recommended_domain_count () - 1) in
+  let default = Int.max 1 (Domain.recommended_domain_count () - 1) in
   match Sys.getenv_opt "IQ_DOMAINS" with
-  | None -> fallback
+  | None -> default
   | Some s -> (
       match int_of_string_opt (String.trim s) with
       | Some n when n >= 1 -> n
-      | Some _ | None -> fallback)
+      | Some _ | None -> default)
 
 let rec worker_loop pool =
   Mutex.lock pool.mutex;

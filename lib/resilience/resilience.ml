@@ -104,19 +104,12 @@ module Budget = struct
 
   let live t = match check t with None -> true | Some _ -> false
   let tripped t = Atomic.get t.trip
-
-  let trip_to_string = function
-    | Deadline { elapsed_ms } ->
-        Printf.sprintf "deadline exceeded after %.1f ms" elapsed_ms
-    | Steps { used; limit } ->
-        Printf.sprintf "step budget exhausted (%d of %d)" used limit
-    | Cancelled -> "cancelled"
 end
 
 module Fault = struct
-  type kind = Exn | Transient | Latency of float | Torn
+  type kind = Exn | Latency of float | Torn
 
-  exception Injected of { site : string; transient : bool }
+  exception Injected of { site : string }
 
   exception Torn_write of { site : string; frac : float }
 
@@ -193,10 +186,6 @@ module Fault = struct
     Mutex.unlock t.lock;
     n
 
-  let transient_exn = function
-    | Injected { transient; _ } -> transient
-    | _ -> false
-
   let point opt ~site =
     match opt with
     | None -> ()
@@ -210,13 +199,12 @@ module Fault = struct
               Atomic.incr t.n_injections;
               match r.kind with
               | Latency ms -> if ms > 0. then Unix.sleepf (ms /. 1000.)
-              | Exn -> raise (Injected { site; transient = false })
-              | Transient -> raise (Injected { site; transient = true })
+              | Exn -> raise (Injected { site })
               | Torn -> raise (Torn_write { site; frac = torn_frac t site n })
             end)
 
   (* --- IQ_FAULT spec parsing ---------------------------------------
-     seed=42;backend.ese.prepare:exn@0.5;index.*:latency(2)@0.1;pool.task:transient *)
+     seed=42;backend.ese.prepare:exn@0.5;index.*:latency(2)@0.1;wal.append:torn@0.2 *)
 
   let ( let* ) = Result.bind
 
@@ -229,7 +217,6 @@ module Fault = struct
     let s = String.trim s in
     match s with
     | "exn" -> Ok Exn
-    | "transient" -> Ok Transient
     | "torn" -> Ok Torn
     | _ ->
         let l = String.length s in

@@ -83,8 +83,6 @@ module Budget : sig
 
   val tripped : t -> trip option
   (** The recorded trip, without re-checking limits. *)
-
-  val trip_to_string : trip -> string
 end
 
 (** Deterministic fault injection: a seeded schedule of failures that
@@ -92,13 +90,13 @@ end
 
     {b Site naming.} Sites are dotted lowercase paths,
     [layer.component.event]: the engine consults
-    [backend.<name>.prepare] and [backend.<name>.eval], index
+    [backend.<name>.prepare] before each evaluator prepare, index
     construction consults [index.build], the searches consult
     [search.iteration], pool tasks consult [pool.task] at chunk
     boundaries, and the durability layer consults [wal.append],
-    [wal.fsync], [checkpoint.write] and [checkpoint.rename] (see
-    [Durable]). Rules match a site exactly or by a trailing-[*]
-    prefix wildcard.
+    [wal.fsync], [checkpoint.write], [checkpoint.rename] and
+    [checkpoint.dirsync] (see [Durable]). Rules match a site exactly
+    or by a trailing-[*] prefix wildcard.
 
     {b Determinism.} Whether the [n]-th consult of a site injects is a
     pure function of [(seed, site, n)] — each site keeps its own
@@ -107,10 +105,7 @@ end
     spec, same per-site schedule, every run. *)
 module Fault : sig
   type kind =
-    | Exn  (** raise {!Injected} with [transient = false] *)
-    | Transient
-        (** raise {!Injected} with [transient = true] — the engine's
-            retry-with-backoff class *)
+    | Exn  (** raise {!Injected} *)
     | Latency of float  (** sleep that many milliseconds, then return *)
     | Torn
         (** raise {!Torn_write} — the kill-mid-write mode for durable
@@ -118,10 +113,10 @@ module Fault : sig
             [frac] of the bytes it was about to write and then die,
             simulating a crash that tears the record *)
 
-  exception Injected of { site : string; transient : bool }
-  (** The process-death/latency exception raised from {!point}. The
-      engine maps it to retries, fallbacks or [Error (Internal _)] —
-      it must never cross the serving boundary raw. *)
+  exception Injected of { site : string }
+  (** The simulated failure raised from {!point}. The engine reports
+      it like any other internal failure, as [Error (Internal _)] — it
+      must never cross the serving boundary raw. *)
 
   exception Torn_write of { site : string; frac : float }
   (** Raised by a [Torn] rule. [frac] (in [0,1), a pure function of
@@ -130,7 +125,7 @@ module Fault : sig
       [floor (frac *. length)] bytes of its payload, flush, and then
       treat the process as dead (abort the operation). Only the WAL
       consults torn rules; everywhere else the exception is handled
-      like a persistent {!Injected}. *)
+      like {!Injected}. *)
 
   type t
 
@@ -140,10 +135,10 @@ module Fault : sig
 
   val of_spec : string -> (t, string) result
   (** Parse an [IQ_FAULT] spec:
-      [seed=42;backend.ese.prepare:exn@0.5;index.*:latency(2)@0.1;pool.task:transient]
+      [seed=42;backend.ese.prepare:exn@0.5;index.*:latency(2)@0.1;wal.append:torn@0.2]
       — semicolon-separated clauses; each is [seed=N] or
-      [site:kind\[@probability\]] with kind [exn], [transient],
-      [latency(MS)] or [torn] and probability defaulting to [1]. *)
+      [site:kind\[@probability\]] with kind [exn], [latency(MS)] or
+      [torn] and probability defaulting to [1]. *)
 
   val of_env : unit -> (t option, string) result
   (** [Workload.Config.fault ()] parsed with {!of_spec};
@@ -156,10 +151,6 @@ module Fault : sig
       uninstrumented production runs pay one branch) and on sites no
       rule matches; otherwise draw the site's next scheduled decision
       and inject latency or raise {!Injected}. *)
-
-  val transient_exn : exn -> bool
-  (** Whether an exception is an injected transient failure (the class
-      the engine retries with backoff). *)
 
   val would_inject : t -> site:string -> n:int -> bool
   (** The schedule itself: whether consult number [n] (0-based) of

@@ -1,4 +1,4 @@
-type kind = Convex_hull_2d | Dominance_fallback
+type kind = Convex_hull_2d | Dominance_peeling
 
 type t = {
   kind : kind;
@@ -46,7 +46,7 @@ let build data =
   else begin
     let dom = Dominance.build data in
     {
-      kind = Dominance_fallback;
+      kind = Dominance_peeling;
       layers = Dominance.layers dom;
       layer_of = Array.init (Array.length data) (Dominance.layer_of dom);
     }
@@ -62,7 +62,7 @@ let better (s1, i1) (s2, i2) = s1 < s2 || (s1 = s2 && i1 < i2)
 let top_k t ~data ~weights ~k =
   (match t.kind with
   | Convex_hull_2d -> ()
-  | Dominance_fallback ->
+  | Dominance_peeling ->
       Array.iter
         (fun w -> if w < 0. then invalid_arg "Onion.top_k: negative weight")
         weights);

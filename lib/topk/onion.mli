@@ -15,7 +15,7 @@
 
 type t
 
-type kind = Convex_hull_2d | Dominance_fallback
+type kind = Convex_hull_2d | Dominance_peeling
 
 val build : Geom.Vec.t array -> t
 
@@ -29,8 +29,8 @@ val layers : t -> int array array
 
 val top_k : t -> data:Geom.Vec.t array -> weights:Geom.Vec.t -> k:int -> int list
 (** Exact top-k under the minimizing convention. 2-D hull layers accept
-    arbitrary weights; the dominance fallback requires non-negative
+    arbitrary weights; dominance peeling requires non-negative
     weights. Agrees with {!Eval.top_k}.
-    @raise Invalid_argument on negative weights in fallback mode. *)
+    @raise Invalid_argument on negative weights in dominance-peeling mode. *)
 
 val size_words : t -> int

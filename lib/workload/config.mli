@@ -47,9 +47,12 @@ val deadline_ms : unit -> float option
     [None] (no deadline). Explicit [?deadline_ms]/[?budget] arguments
     to [Iq.Engine] searches override it. *)
 
+(* iqlint: allow dead-export — the end-to-end benchmark (perfbench/) prints it on its knobs line *)
 val retries : unit -> int
-(** Per-backend retry count for transient faults: the [IQ_RETRIES] env
-    var when set to a non-negative integer, default [2]. *)
+(** The [IQ_RETRIES] env var when set to a non-negative integer,
+    default [2]. Nothing in the libraries reads it: the engine retries
+    nothing. Its only reader is the end-to-end benchmark's knobs line,
+    which echoes every [IQ_*] setting of a run. *)
 
 val fault : unit -> string option
 (** The raw [IQ_FAULT] fault-injection spec, unparsed ([None] when

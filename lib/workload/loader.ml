@@ -105,10 +105,10 @@ let load_objects file =
         (`Parse_error
            { file; line = 1; msg = "no numeric columns in header" })
 
-let query_of_row ~k_idx ~id_idx ~weight_cols fallback_id row =
+let query_of_row ~k_idx ~id_idx ~weight_cols default_id row =
   let* id =
     match id_idx with
-    | None -> Ok fallback_id
+    | None -> Ok default_id
     | Some i -> (
         match Value.to_int row.(i) with
         | Some id -> Ok id

@@ -627,6 +627,7 @@ let crash_sites =
     ("checkpoint.write", Resilience.Fault.Exn);
     ("checkpoint.write", Resilience.Fault.Torn);
     ("checkpoint.rename", Resilience.Fault.Exn);
+    ("checkpoint.dirsync", Resilience.Fault.Exn);
   |]
 
 (* A random-but-valid mutation trace: ids are drawn against the
@@ -676,12 +677,21 @@ let run_crash_case seed =
   let dir = fresh_dir () in
   let e = engine inst in
   match Store.attach ~every:4 ~fault ~dir e with
-  | Error _ ->
-      (* the initial checkpoint crashed: nothing durable exists, and
-         recovery must say so rather than fabricate an engine *)
-      (match Recovery.replay ~pool:pool1 dir with
+  | Error _ -> (
+      (* the initial checkpoint crashed. Before its rename nothing
+         durable exists, and recovery must say so rather than fabricate
+         an engine; after the rename (a [checkpoint.dirsync] crash) the
+         image is the untouched generation-0 state and nothing else *)
+      match Recovery.replay ~pool:pool1 dir with
       | Error _ -> true
-      | Ok _ -> false)
+      | Ok (recovered, report) ->
+          String.equal site "checkpoint.dirsync"
+          && report.Recovery.r_replayed = 0
+          &&
+          (assert_equivalent
+             ~what:(Printf.sprintf "crash seed %d at %s" seed site)
+             (engine inst) recovered;
+           true))
   | Ok store ->
       let rec drive acked = function
         | [] -> (List.rev acked, false)

@@ -17,7 +17,7 @@ let test_onion_highd_fallback () =
   let t = Topk.Onion.build (random_data 50 4) in
   Alcotest.(check bool)
     "4-D falls back" true
-    (Topk.Onion.kind t = Topk.Onion.Dominance_fallback)
+    (Topk.Onion.kind t = Topk.Onion.Dominance_peeling)
 
 let test_onion_topk_matches_eval_2d () =
   let data = random_data 300 2 in

@@ -1,8 +1,9 @@
 (* The resilience layer and its integration with Iq.Engine: budget
-   trip semantics, deterministic fault schedules, backend failover /
-   retry / circuit breaking, the anytime (degraded-partial) contract,
-   and the promise that no raw exception crosses the serving boundary
-   no matter what the fault schedule does. *)
+   trip semantics, deterministic fault schedules, injected faults
+   surfacing as typed errors that leave no cached state behind, the
+   anytime (degraded-partial) contract, and the promise that no raw
+   exception crosses the serving boundary no matter what the fault
+   schedule does. *)
 
 open Iq
 module Budget = Resilience.Budget
@@ -27,24 +28,7 @@ let ok = function
 (* All chaos engines run on the sequential pool: fault-site consult
    counts are then independent of scheduling, so the same seed gives
    the same injections and the same outcomes, run after run. *)
-let engine ?resilience ?(pool = pool1) inst =
-  ok (Engine.create ?resilience ~pool inst)
-
-let chaos ?(retries = 0) ?(threshold = 3) ?(cooldown = 1e9) fault =
-  {
-    Engine.retries;
-    backoff_ms = 0.;
-    circuit_threshold = threshold;
-    circuit_cooldown_ms = cooldown;
-    fault = Some fault;
-  }
-
-let bstat stats name =
-  match
-    List.find_opt (fun b -> b.Engine.b_name = name) stats.Engine.backends
-  with
-  | Some b -> b
-  | None -> Alcotest.failf "no stats for backend %s" name
+let engine ?fault ?(pool = pool1) inst = ok (Engine.create ?fault ~pool inst)
 
 (* --- Budget ----------------------------------------------------------- *)
 
@@ -106,7 +90,7 @@ let test_spec_parsing () =
   let f =
     match
       Fault.of_spec
-        "seed=7;backend.ese.prepare:exn@0.5;index.*:latency(2)@0.25;pool.task:transient"
+        "seed=7;backend.ese.prepare:exn@0.5;index.*:latency(2)@0.25;pool.task:exn@0.1"
     with
     | Ok f -> f
     | Error msg -> Alcotest.failf "spec should parse: %s" msg
@@ -122,6 +106,7 @@ let test_spec_parsing () =
       "no-colon-here";
       "site:wat";
       "site:exn@1.5";
+      "site:transient";
       "site:exn@nope";
       "seed=xyz;site:exn";
       "site:latency(-3)";
@@ -129,7 +114,7 @@ let test_spec_parsing () =
     ]
 
 let test_schedule_deterministic () =
-  let spec = "seed=42;backend.ese.prepare:exn@0.5;index.*:transient@0.3" in
+  let spec = "seed=42;backend.ese.prepare:exn@0.5;index.*:exn@0.3" in
   let f1 = Result.get_ok (Fault.of_spec spec) in
   let f2 = Result.get_ok (Fault.of_spec spec) in
   let sites = [ "backend.ese.prepare"; "index.build"; "index.rebuild" ] in
@@ -163,113 +148,95 @@ let test_point_semantics () =
     Fault.make ~seed:3
       [
         ("a.exn", Fault.Exn, 1.);
-        ("a.transient", Fault.Transient, 1.);
+        ("a.torn", Fault.Torn, 1.);
         ("a.latency", Fault.Latency 0., 1.);
       ]
   in
   (match Fault.point (Some f) ~site:"a.exn" with
   | () -> Alcotest.fail "exn site must raise"
-  | exception Fault.Injected { site = "a.exn"; transient = false } -> ()
+  | exception Fault.Injected { site = "a.exn" } -> ()
   | exception _ -> Alcotest.fail "wrong exception");
-  (match Fault.point (Some f) ~site:"a.transient" with
-  | () -> Alcotest.fail "transient site must raise"
-  | exception (Fault.Injected { transient = true; _ } as e) ->
-      Alcotest.(check bool) "transient_exn" true (Fault.transient_exn e)
+  (match Fault.point (Some f) ~site:"a.torn" with
+  | () -> Alcotest.fail "torn site must raise"
+  | exception Fault.Torn_write { site = "a.torn"; frac } ->
+      Alcotest.(check bool) "frac in [0,1)" true (frac >= 0. && frac < 1.)
   | exception _ -> Alcotest.fail "wrong exception");
   Fault.point (Some f) ~site:"a.latency";
   Fault.point (Some f) ~site:"unmatched";
   Alcotest.(check int) "consults count matched sites" 3 (Fault.consults f);
-  Alcotest.(check int) "injections" 3 (Fault.injections f);
-  Alcotest.(check bool)
-    "transient_exn rejects others" false
-    (Fault.transient_exn Exit)
+  Alcotest.(check int) "injections" 3 (Fault.injections f)
 
-(* --- Engine failover -------------------------------------------------- *)
+(* --- Engine under injected faults ------------------------------------ *)
 
 let same_mincost (a : Min_cost.outcome) (b : Min_cost.outcome) =
   a.Min_cost.strategy = b.Min_cost.strategy
   && a.Min_cost.hits_after = b.Min_cost.hits_after
   && a.Min_cost.total_cost = b.Min_cost.total_cost
 
-let test_prepare_fault_falls_back () =
-  let inst = make_instance () in
-  let cost = Cost.euclidean (Instance.dim inst) in
-  let target = 0 and tau = 3 in
-  let clean = ok (Engine.min_cost (engine inst) ~cost ~target ~tau) in
-  let f = Fault.make ~seed:1 [ ("backend.ese.prepare", Fault.Exn, 1.) ] in
-  let e = engine ~resilience:(chaos f) inst in
-  let got = ok (Engine.min_cost e ~cost ~target ~tau) in
-  Alcotest.(check bool) "fallback answers match" true (same_mincost clean got);
-  let st = Engine.stats e in
-  let ese = bstat st "ese" and rta = bstat st "rta" in
-  Alcotest.(check bool) "ese failed" true (ese.Engine.b_failures >= 1);
-  Alcotest.(check bool) "ese fell back" true (ese.Engine.b_fallbacks >= 1);
-  Alcotest.(check bool) "rta served" true (rta.Engine.b_attempts >= 1);
-  Alcotest.(check int) "rta never failed" 0 rta.Engine.b_failures;
-  Alcotest.(check bool) "injections recorded" true (st.Engine.faults_injected >= 1);
-  Alcotest.(check string) "primary name unchanged" "ese" (Engine.backend_name e)
+let cached e ~target =
+  let snap = Engine.snapshot e in
+  Snapshot.locked snap (fun () -> Snapshot.find_entry snap target)
 
-(* A seed whose schedule injects on the first consult of [site] but
-   not the second — the retry-succeeds scenario, found by search so it
-   stays correct if the hash function ever changes. *)
-let seed_first_only site =
+let expect_internal what = function
+  | Error (Engine.Error.Internal _) -> ()
+  | Ok _ -> Alcotest.failf "%s: answered through a failed prepare" what
+  | Error err ->
+      Alcotest.failf "%s: wrong error: %s" what (Engine.Error.to_string err)
+
+(* A seed whose prepare schedule fires on the first three consults and
+   on none of the next five — found by search so it stays correct if
+   the hash function ever changes. *)
+let seed_first_three site =
   let rec go seed =
-    if seed > 10_000 then Alcotest.fail "no first-only seed found";
-    let f = Fault.make ~seed [ (site, Fault.Transient, 0.5) ] in
-    if
-      Fault.would_inject f ~site ~n:0 && not (Fault.would_inject f ~site ~n:1)
+    if seed > 100_000 then Alcotest.fail "no first-three seed found";
+    let f = Fault.make ~seed [ (site, Fault.Exn, 0.5) ] in
+    let fires n = Fault.would_inject f ~site ~n in
+    if List.for_all fires [ 0; 1; 2 ]
+       && not (List.exists fires [ 3; 4; 5; 6; 7 ])
     then f
     else go (seed + 1)
   in
   go 0
 
-let test_transient_retry_succeeds () =
+let test_prepare_fault_is_internal () =
   let inst = make_instance () in
   let cost = Cost.euclidean (Instance.dim inst) in
   let target = 0 and tau = 3 in
-  let clean = ok (Engine.min_cost (engine inst) ~cost ~target ~tau) in
-  let f = seed_first_only "backend.ese.prepare" in
-  let e = engine ~resilience:(chaos ~retries:2 f) inst in
-  let got = ok (Engine.min_cost e ~cost ~target ~tau) in
-  Alcotest.(check bool) "retried answers match" true (same_mincost clean got);
-  let ese = bstat (Engine.stats e) "ese" in
-  Alcotest.(check int) "one retry" 1 ese.Engine.b_retries;
-  Alcotest.(check int) "no persistent failure" 0 ese.Engine.b_failures;
-  Alcotest.(check int) "attempted twice" 2 ese.Engine.b_attempts;
-  Alcotest.(check int) "no fallback" 0 ese.Engine.b_fallbacks
-
-let test_circuit_breaker () =
-  let inst = make_instance () in
-  let f = Fault.make ~seed:1 [ ("backend.ese.prepare", Fault.Exn, 1.) ] in
-  let e = engine ~resilience:(chaos ~threshold:1 f) inst in
-  ignore (ok (Engine.hits e ~target:0));
-  let st1 = Engine.stats e in
-  Alcotest.(check int) "one attempt opened the circuit" 1
-    (bstat st1 "ese").Engine.b_attempts;
-  Alcotest.(check bool) "circuit open" true (bstat st1 "ese").Engine.b_circuit_open;
-  (* Second target: ese must be skipped without a new attempt. *)
-  ignore (ok (Engine.hits e ~target:1));
-  let st2 = Engine.stats e in
-  Alcotest.(check int) "no further attempts while open" 1
-    (bstat st2 "ese").Engine.b_attempts;
-  Alcotest.(check int) "skip counted as fallback" 2
-    (bstat st2 "ese").Engine.b_fallbacks
-
-let test_eval_fault_fails_over () =
-  let inst = make_instance () in
-  let cost = Cost.euclidean (Instance.dim inst) in
-  let target = 0 and tau = 3 in
-  let clean = ok (Engine.min_cost (engine inst) ~cost ~target ~tau) in
-  (* Prepare succeeds, every ese evaluation raises: the failover has
-     to catch the fault mid-search and restart on the next backend. *)
-  let f = Fault.make ~seed:1 [ ("backend.ese.eval", Fault.Exn, 1.) ] in
-  let e = engine ~resilience:(chaos f) inst in
-  let got = ok (Engine.min_cost e ~cost ~target ~tau) in
-  Alcotest.(check bool) "mid-search failover matches" true
-    (same_mincost clean got);
-  let ese = bstat (Engine.stats e) "ese" in
-  Alcotest.(check bool) "ese recorded the eval failure" true
-    (ese.Engine.b_failures >= 1)
+  let site = "backend.ese.prepare" in
+  (* Every prepare fails: each entry point reports the injection as
+     [Internal] and caches nothing, so no later call can answer from a
+     half-built evaluator. *)
+  let always = Fault.make ~seed:1 [ (site, Fault.Exn, 1.) ] in
+  let e = engine ~fault:always inst in
+  expect_internal "hits" (Engine.hits e ~target);
+  Alcotest.(check bool) "hits cached nothing" true (cached e ~target = None);
+  expect_internal "min_cost" (Engine.min_cost e ~cost ~target ~tau);
+  Alcotest.(check bool) "min_cost cached nothing" true (cached e ~target = None);
+  expect_internal "prepare" (Engine.prepare e ~target);
+  Alcotest.(check bool) "prepare cached nothing" true (cached e ~target = None);
+  Alcotest.(check int) "three injections" 3
+    (Engine.stats e).Engine.faults_injected;
+  (* Once the schedule stops firing, the same engine answers exactly
+     as a clean one: the failed prepares left nothing to poison it. *)
+  let clean = engine inst in
+  let f = seed_first_three site in
+  let e = engine ~fault:f inst in
+  expect_internal "hits" (Engine.hits e ~target);
+  expect_internal "min_cost" (Engine.min_cost e ~cost ~target ~tau);
+  expect_internal "prepare" (Engine.prepare e ~target);
+  Alcotest.(check int) "hits after recovery"
+    (ok (Engine.hits clean ~target))
+    (ok (Engine.hits e ~target));
+  Alcotest.(check bool) "min_cost after recovery" true
+    (same_mincost
+       (ok (Engine.min_cost clean ~cost ~target ~tau))
+       (ok (Engine.min_cost e ~cost ~target ~tau)));
+  let s = Geom.Vec.make (Instance.dim inst) 0.05 in
+  Alcotest.(check int) "prepared handle after recovery"
+    (ok (Engine.evaluate clean (ok (Engine.prepare clean ~target)) ~s))
+    (ok (Engine.evaluate e (ok (Engine.prepare e ~target)) ~s));
+  Alcotest.(check int) "one successful prepare consult" 4 (Fault.consults f);
+  Alcotest.(check int) "no injection after the third" 3 (Fault.injections f)
 
 (* --- Deadlines, cancellation, anytime partials ----------------------- *)
 
@@ -440,13 +407,8 @@ let prop_degraded_hits_exact =
 (* --- nothing raw crosses the boundary --------------------------------- *)
 
 let test_chaos_boundary () =
-  (* Aggressive schedule over every site; every entry point must
+  (* Aggressive schedule over every engine site; every entry point must
      return a result — never raise. *)
-  let f =
-    Result.get_ok
-      (Fault.of_spec
-         "seed=5;backend.*:exn@0.4;index.build:transient@0.3;search.iteration:transient@0.2;pool.task:transient@0.2")
-  in
   let inst = make_instance () in
   let cost = Cost.euclidean (Instance.dim inst) in
   let no_raise name g =
@@ -455,58 +417,64 @@ let test_chaos_boundary () =
     | exception ex ->
         Alcotest.failf "%s leaked exception %s" name (Printexc.to_string ex)
   in
-  match Engine.create ~resilience:(chaos ~retries:1 f) ~pool:pool1 inst with
-  | Error _ -> () (* index.build exhausted its retries: typed, fine *)
-  | Ok e ->
-      for target = 0 to 9 do
-        no_raise "evaluator" (fun () ->
-            Result.map ignore (Engine.evaluator e ~target));
-        no_raise "hits" (fun () -> Result.map ignore (Engine.hits e ~target));
-        no_raise "member" (fun () ->
-            Result.map ignore (Engine.member e ~target ~q:0));
-        no_raise "min_cost" (fun () ->
-            Result.map ignore (Engine.min_cost e ~cost ~target ~tau:3));
-        no_raise "max_hit" (fun () ->
-            Result.map ignore (Engine.max_hit e ~cost ~target ~beta:0.2));
-        no_raise "prepare+evaluate" (fun () ->
-            match Engine.prepare e ~target with
-            | Error err -> Error err
-            | Ok h ->
-                Result.map ignore
-                  (Engine.evaluate e h
-                     ~s:(Geom.Vec.zero (Instance.dim inst))))
-      done;
-      no_raise "min_cost_multi" (fun () ->
-          Result.map ignore
-            (Engine.min_cost_multi e ~costs:[ (0, cost); (1, cost) ] ~tau:3))
+  let build = Fault.make ~seed:5 [ ("index.build", Fault.Exn, 1.) ] in
+  no_raise "create" (fun () ->
+      match Engine.create ~fault:build ~pool:pool1 inst with
+      | Error (Engine.Error.Internal _) -> Ok ()
+      | Ok _ -> Alcotest.fail "create answered through a failed index build"
+      | Error err -> Error err);
+  let f =
+    Result.get_ok
+      (Fault.of_spec
+         "seed=5;backend.*:exn@0.4;search.iteration:exn@0.2;pool.task:exn@0.2")
+  in
+  let e = engine ~fault:f inst in
+  for target = 0 to 9 do
+    no_raise "evaluator" (fun () ->
+        Result.map ignore (Engine.evaluator e ~target));
+    no_raise "hits" (fun () -> Result.map ignore (Engine.hits e ~target));
+    no_raise "member" (fun () ->
+        Result.map ignore (Engine.member e ~target ~q:0));
+    no_raise "min_cost" (fun () ->
+        Result.map ignore (Engine.min_cost e ~cost ~target ~tau:3));
+    no_raise "max_hit" (fun () ->
+        Result.map ignore (Engine.max_hit e ~cost ~target ~beta:0.2));
+    no_raise "prepare+evaluate" (fun () ->
+        match Engine.prepare e ~target with
+        | Error err -> Error err
+        | Ok h ->
+            Result.map ignore
+              (Engine.evaluate e h ~s:(Geom.Vec.zero (Instance.dim inst))))
+  done;
+  no_raise "min_cost_multi" (fun () ->
+      Result.map ignore
+        (Engine.min_cost_multi e ~costs:[ (0, cost); (1, cost) ] ~tau:3));
+  Alcotest.(check bool) "the schedule fired" true (Fault.injections f > 0)
 
 let test_chaos_deterministic () =
   (* Same spec, same driver, sequential pool: two runs must agree on
-     every outcome and on the fault accounting. *)
-  let spec = "seed=11;backend.ese.prepare:exn@0.5;backend.ese.eval:transient@0.1" in
+     every outcome and on the number of injected faults. *)
+  let spec = "seed=11;backend.ese.prepare:exn@0.5;search.iteration:exn@0.1" in
   let run () =
     let f = Result.get_ok (Fault.of_spec spec) in
     let inst = make_instance () in
     let cost = Cost.euclidean (Instance.dim inst) in
-    let e = engine ~resilience:(chaos ~retries:1 f) inst in
+    let e = engine ~fault:f inst in
     let outcomes =
       List.init 6 (fun target ->
           match Engine.min_cost e ~cost ~target ~tau:3 with
           | Ok o -> Printf.sprintf "ok:%d:%.9f" o.Min_cost.hits_after o.Min_cost.total_cost
           | Error err -> "err:" ^ Engine.Error.to_string err)
     in
-    let st = Engine.stats e in
-    let acct =
-      List.map
-        (fun b ->
-          Printf.sprintf "%s:%d/%d/%d/%d" b.Engine.b_name b.Engine.b_attempts
-            b.Engine.b_failures b.Engine.b_retries b.Engine.b_fallbacks)
-        st.Engine.backends
-    in
-    (outcomes, acct, st.Engine.faults_injected)
+    (outcomes, (Engine.stats e).Engine.faults_injected)
   in
-  let a = run () and b = run () in
-  Alcotest.(check bool) "identical chaos runs" true (a = b)
+  let ((outcomes, injected) as a) = run () in
+  let b = run () in
+  Alcotest.(check bool) "identical chaos runs" true (a = b);
+  Alcotest.(check bool) "some searches failed" true
+    (injected > 0 && List.exists (String.starts_with ~prefix:"err:") outcomes);
+  Alcotest.(check bool) "some searches answered" true
+    (List.exists (String.starts_with ~prefix:"ok:") outcomes)
 
 let suite =
   [
@@ -523,14 +491,8 @@ let suite =
     Alcotest.test_case "fault: schedule deterministic" `Quick
       test_schedule_deterministic;
     Alcotest.test_case "fault: point semantics" `Quick test_point_semantics;
-    Alcotest.test_case "engine: prepare fault falls back" `Quick
-      test_prepare_fault_falls_back;
-    Alcotest.test_case "engine: transient retry succeeds" `Quick
-      test_transient_retry_succeeds;
-    Alcotest.test_case "engine: circuit breaker opens" `Quick
-      test_circuit_breaker;
-    Alcotest.test_case "engine: eval fault fails over mid-search" `Quick
-      test_eval_fault_fails_over;
+    Alcotest.test_case "engine: prepare fault is Internal, caches nothing"
+      `Quick test_prepare_fault_is_internal;
     Alcotest.test_case "engine: deadline -> typed partial" `Quick
       test_deadline_error;
     Alcotest.test_case "engine: cancellation -> typed partial" `Quick

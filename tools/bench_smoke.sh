@@ -4,7 +4,9 @@
 # 1. Domain-pool bench with a 2-domain pool: exercises the pool, the
 #    sharded index build, the parallel candidate fan-out, and the
 #    cross-domain determinism check (the bench exits non-zero if
-#    outcomes diverge across domain counts).
+#    outcomes diverge across domain counts) and the oversubscription
+#    gate (median domains=2 build+search over 5 interleaved rounds
+#    within 1.10x + 50 ms of the domains=1 median).
 # 2. Hot-path bench: flat SoA kernels vs the boxed baselines and
 #    dominance-layer pruning vs the full rival set — exits non-zero if
 #    any checksum diverges or a fast path is slower than its baseline
